@@ -143,6 +143,46 @@ let mag_shift_left a k =
     mag_normalize r
   end
 
+let mag_shift_right a k =
+  let dw = k / base_bits and db = k mod base_bits in
+  let la = Array.length a in
+  if dw >= la then [||]
+  else begin
+    let r = Array.make (la - dw) 0 in
+    for i = 0 to la - dw - 1 do
+      let hi = if i + dw + 1 < la then a.(i + dw + 1) lsl (base_bits - db) else 0 in
+      r.(i) <- ((a.(i + dw) lsr db) lor hi) land base_mask
+    done;
+    mag_normalize r
+  end
+
+(* Requires a non-zero magnitude. *)
+let mag_trailing_zeros a =
+  let i = ref 0 in
+  while a.(!i) = 0 do incr i done;
+  let b = ref 0 in
+  while (a.(!i) lsr !b) land 1 = 0 do incr b done;
+  (!i * base_bits) + !b
+
+(* Binary (Stein) gcd: strip the common power of two, then subtract the
+   smaller odd value from the larger and strip the difference's factors
+   of two until the two meet.  Shifts and subtractions only, no division;
+   at most one step per bit of the operands. *)
+let mag_gcd a b =
+  if Array.length a = 0 then b
+  else if Array.length b = 0 then a
+  else begin
+    let odd x = mag_shift_right x (mag_trailing_zeros x) in
+    let rec go a b =
+      let c = mag_compare a b in
+      if c = 0 then a
+      else if c > 0 then go (odd (mag_sub a b)) b
+      else go a (odd (mag_sub b a))
+    in
+    mag_shift_left (go (odd a) (odd b))
+      (Stdlib.min (mag_trailing_zeros a) (mag_trailing_zeros b))
+  end
+
 let mag_num_bits a =
   let la = Array.length a in
   if la = 0 then 0
@@ -261,9 +301,7 @@ let divexact a b =
   if not (is_zero r) then invalid_arg "Bigint.divexact: inexact division";
   q
 
-let rec gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero b then a else gcd b (rem a b)
+let gcd a b = make 1 (mag_gcd a.mag b.mag)
 
 let pow x k =
   if k < 0 then invalid_arg "Bigint.pow: negative exponent";

@@ -1811,92 +1811,91 @@ let validate m a =
 (* Counting                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let model_count m a =
+(* One bottom-up pass behind every counting query, generic in the number
+   type.  [lit leaf pos] weighs a literal and [pow k] is the weight of k
+   variables a node does not mention: the two literal weights of every
+   variable sum to [pow 1], so vtree gaps are filled with (cached) powers
+   and no division is needed — one multiply-add per element.  Returns
+   the count of [a] over the variables below its own vtree node, and
+   their number (0 for the constants). *)
+let weighted_count m a ~zero ~add ~mul ~pow lit =
   let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  (* Count of node over exactly the variables below its own vtree node;
-     gaps are filled at the use site. *)
+  let below v = Vtree.num_vars_below m.vt v in
+  let pows = Hashtbl.create 16 and cache = Hashtbl.create 64 in
+  let pow k =
+    match Hashtbl.find_opt pows k with
+    | Some r -> r
+    | None -> let r = pow k in Hashtbl.add pows k r; r
+  in
   let rec own a =
-    if Bytes.unsafe_get st.kind a = k_lit then Bigint.one
-    else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
-      | None ->
-        let v = st.vnode.(a) in
-        let lv = Vtree.left m.vt v and rv = Vtree.right m.vt v in
-        let r =
+    match Hashtbl.find_opt cache a with
+    | Some r -> r
+    | None ->
+      let v = st.vnode.(a) in
+      let r =
+        if Bytes.unsafe_get st.kind a = k_lit then lit v (st.aux.(a) = 1)
+        else
+          let lv = Vtree.left m.vt v and rv = Vtree.right m.vt v in
           List.fold_left
-            (fun acc (p, s) -> Bigint.add acc (Bigint.mul (at p lv) (at s rv)))
-            Bigint.zero (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
-    end
+            (fun acc (p, s) -> add acc (mul (at p lv) (at s rv)))
+            zero (elements_list st a)
+      in
+      Hashtbl.add cache a r;
+      r
   and at a v =
-    (* models of a over the variables below v; requires vtree(a) ≤ v *)
-    if a = 0 then Bigint.zero
-    else if a = 1 then Bigint.pow2 (Vtree.num_vars_below m.vt v)
+    (* [a] over the variables below v; requires vtree(a) ≤ v *)
+    if a = 0 then zero
+    else if a = 1 then pow (below v)
     else begin
-      let u = st.vnode.(a) in
-      let gap = Vtree.num_vars_below m.vt v - Vtree.num_vars_below m.vt u in
-      Bigint.mul (Bigint.pow2 gap) (own a)
+      let gap = below v - below st.vnode.(a) in
+      if gap = 0 then own a else mul (pow gap) (own a)
     end
   in
-  at a (Vtree.root m.vt)
+  if a = 0 then (zero, 0)
+  else if a = 1 then (pow 0, 0)
+  else (own a, below st.vnode.(a))
 
-(* Weighted model counting with probabilities (weights of the two
-   polarities sum to 1, so vtree gaps contribute factor 1). *)
+let model_count m a =
+  let c, d =
+    weighted_count m a ~zero:Bigint.zero ~add:Bigint.add ~mul:Bigint.mul
+      ~pow:Bigint.pow2 (fun _ _ -> Bigint.one)
+  in
+  Bigint.shift_left c (Vtree.num_leaves m.vt - d)
+
+(* Probabilities: the two polarities sum to 1, so gaps weigh 1. *)
 let probability m a weight =
-  let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  let rec go a =
-    if a = 0 then 0.0
-    else if a = 1 then 1.0
-    else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
-      | None ->
-        let r =
-          if Bytes.unsafe_get st.kind a = k_lit then begin
-            let w = weight (Vtree.var_of_leaf m.vt st.vnode.(a)) in
-            if st.aux.(a) = 1 then w else 1.0 -. w
-          end
-          else
-            List.fold_left
-              (fun acc (p, s) -> acc +. (go p *. go s))
-              0.0 (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
-    end
-  in
-  go a
+  fst
+    (weighted_count m a ~zero:0.0 ~add:( +. ) ~mul:( *. ) ~pow:(fun _ -> 1.0)
+       (fun leaf pos ->
+         let w = weight (Vtree.var_of_leaf m.vt leaf) in
+         if pos then w else 1.0 -. w))
 
+(* Exact: [weight] is asked once per variable [a] mentions, and literal
+   weights are scaled to integers over the lcm [l] of their
+   denominators, so the result is one fraction N / l^d, normalised
+   once. *)
 let probability_ratio m a weight =
   let st = Atomic.get m.store in
-  let cache = Hashtbl.create 64 in
-  let rec go a =
-    if a = 0 then Ratio.zero
-    else if a = 1 then Ratio.one
-    else begin
-      match Hashtbl.find_opt cache a with
-      | Some r -> r
-      | None ->
-        let r =
-          if Bytes.unsafe_get st.kind a = k_lit then begin
-            let w = weight (Vtree.var_of_leaf m.vt st.vnode.(a)) in
-            if st.aux.(a) = 1 then w else Ratio.sub Ratio.one w
-          end
-          else
-            List.fold_left
-              (fun acc (p, s) -> Ratio.add acc (Ratio.mul (go p) (go s)))
-              Ratio.zero (elements_list st a)
-        in
-        Hashtbl.add cache a r;
-        r
-    end
+  let ws = Hashtbl.create 16 in
+  let note x =
+    let v = st.vnode.(x) in
+    if Bytes.unsafe_get st.kind x = k_lit && not (Hashtbl.mem ws v) then
+      Hashtbl.add ws v (weight (Vtree.var_of_leaf m.vt v))
   in
-  go a
+  note a;
+  List.iter
+    (fun (_, _, elems) -> List.iter (fun (p, s) -> note p; note s) elems)
+    (reachable_decisions m a);
+  let lcm d l = Bigint.mul l (Bigint.divexact d (Bigint.gcd l d)) in
+  let l = Hashtbl.fold (fun _ w -> lcm (Ratio.den w)) ws Bigint.one in
+  let c, d =
+    weighted_count m a ~zero:Bigint.zero ~add:Bigint.add ~mul:Bigint.mul
+      ~pow:(Bigint.pow l) (fun leaf pos ->
+        let w = Hashtbl.find ws leaf in
+        let p = Bigint.mul (Ratio.num w) (Bigint.divexact l (Ratio.den w)) in
+        if pos then p else Bigint.sub l p)
+  in
+  Ratio.make c (Bigint.pow l d)
 
 let any_model m a =
   if a = 0 then None

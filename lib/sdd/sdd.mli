@@ -323,13 +323,28 @@ val width_profile : manager -> t -> (Vtree.node * int) list
 
 (** {1 Counting and probability} *)
 
+(** {!model_count}, {!probability} and {!probability_ratio} share one
+    bottom-up pass over the reachable decisions: one multiply-add per
+    element, with vtree variables a node does not mention filled in by
+    cached powers of the per-variable weight sum.  The exact functions
+    count in {!Bigint}s and do not divide during the pass. *)
+
 val model_count : manager -> t -> Bigint.t
-(** Over all variables of the vtree. *)
+(** Over all variables of the vtree: the shared pass with both literal
+    weights 1, so no normalisation at all. *)
 
 val probability : manager -> t -> (string -> float) -> float
 (** Each variable independently true with the given probability. *)
 
 val probability_ratio : manager -> t -> (string -> Ratio.t) -> Ratio.t
+(** Exact {!probability}: each variable independently true with the
+    given rational probability (any rational is accepted; the negative
+    literal weighs [1 - w]).  [weight] is called exactly once per
+    variable the SDD mentions and never for other vtree variables.  The
+    weights are scaled to integers over the lcm [L] of their
+    denominators, the pass counts N over the [d] variables below the
+    root's vtree node, and the result is [N / L{^d}]: one normalisation
+    (one gcd) per call, not one per element. *)
 
 val any_model : manager -> t -> (string * bool) list option
 (** A satisfying total assignment of the vtree variables, if any. *)

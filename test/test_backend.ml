@@ -303,9 +303,145 @@ let query_suite =
           (Ctwsdd.model_count_exn (Circuit.of_string "(and true false)")));
   ]
 
+(* Exact WMC against a truth table.  The vtree carries two variables
+   (g1, g2) that no test function mentions, so every count crosses vtree
+   gaps; the weights mix non-dyadic values with 0 and 1. *)
+let wmc_vars = [ "a"; "g1"; "b"; "c"; "g2"; "d"; "e" ]
+
+let wmc_weight = function
+  | "a" -> Ratio.of_ints 1 3
+  | "b" -> Ratio.of_ints 2 5
+  | "c" -> Ratio.of_ints 7 16
+  | "d" -> Ratio.zero
+  | "e" -> Ratio.one
+  | _ -> Ratio.of_ints 5 9
+
+(* Σ over all assignments of the vtree variables of Π literal weights,
+   restricted to the models of [f]. *)
+let truth_table_wmc f weight =
+  let rec go asg = function
+    | [] -> if f asg then Ratio.one else Ratio.zero
+    | v :: rest ->
+      let w = weight v in
+      Ratio.add
+        (Ratio.mul w (go (Boolfun.Smap.add v true asg) rest))
+        (Ratio.mul (Ratio.sub Ratio.one w) (go (Boolfun.Smap.add v false asg) rest))
+  in
+  go Boolfun.Smap.empty wmc_vars
+
+let wmc_circuits =
+  List.map Circuit.of_string
+    [
+      "(or (and a b) (not c))";
+      "(and (or a d) (or b e) (or c (not a)))";
+      "(or (and a (not b)) (and c e) (and (not a) d))";
+      "(or (and a (not b)) (and (not a) b))";
+      (* b is redundant: a canonical manager does not mention it *)
+      "(or (and a b) (and a (not b)) (and c (not e)))";
+      "d";
+      "(not e)";
+      "(and c (not c))";
+      "(or b (not b))";
+    ]
+
+let resolved : (string * Backend.resolved) list =
+  [ ("sdd", `Sdd); ("obdd", `Obdd); ("dnnf", `Dnnf) ]
+
+(* Every root under test on one backend: each compiled circuit, its
+   negation and the two constants, with the truth function of each. *)
+let wmc_roots b vt =
+  let module B = (val Backend.impl b) in
+  let m = B.create_manager vt in
+  let roots =
+    List.concat_map
+      (fun c ->
+        let r = B.compile_circuit m c in
+        [ (r, Circuit.eval c); (B.negate m r, fun asg -> not (Circuit.eval c asg)) ])
+      wmc_circuits
+  in
+  (m, ((Sdd.true_ m, fun _ -> true) :: (Sdd.false_ m, fun _ -> false) :: roots))
+
+let wmc_vtrees =
+  [ ("balanced", Vtree.balanced wmc_vars); ("random", Vtree.random ~seed:7 wmc_vars) ]
+
+(* Variables occurring as literals in the SDD, read through [view]. *)
+let mentioned m a =
+  let rec go acc a =
+    match Sdd.view m a with
+    | Sdd.True | Sdd.False -> acc
+    | Sdd.Literal (v, _) -> if List.mem v acc then acc else v :: acc
+    | Sdd.Decision (_, elems) ->
+      List.fold_left (fun acc (p, s) -> go (go acc p) s) acc elems
+  in
+  go [] a
+
+let wmc_suite =
+  [
+    case "probability_ratio matches the truth table on every backend" (fun () ->
+        List.iter
+          (fun (bname, b) ->
+            List.iter
+              (fun (vname, vt) ->
+                let m, roots = wmc_roots b vt in
+                List.iteri
+                  (fun i (r, f) ->
+                    check ratio
+                      (Printf.sprintf "%s/%s root %d" bname vname i)
+                      (truth_table_wmc f wmc_weight)
+                      (Sdd.probability_ratio m r wmc_weight))
+                  roots)
+              wmc_vtrees)
+          resolved);
+    case "uniform weights give model_count / 2^n" (fun () ->
+        let half _ = Ratio.of_ints 1 2 in
+        let n = List.length wmc_vars in
+        List.iter
+          (fun (bname, b) ->
+            let m, roots = wmc_roots b (Vtree.balanced wmc_vars) in
+            List.iteri
+              (fun i (r, _) ->
+                check ratio
+                  (Printf.sprintf "%s root %d" bname i)
+                  (Ratio.make (Sdd.model_count m r) (Bigint.pow2 n))
+                  (Sdd.probability_ratio m r half))
+              roots)
+          resolved);
+    case "weight is asked once per mentioned variable, never for others"
+      (fun () ->
+        List.iter
+          (fun (bname, b) ->
+            let m, roots = wmc_roots b (Vtree.random ~seed:3 wmc_vars) in
+            List.iteri
+              (fun i (r, f) ->
+                let mentioned = mentioned m r in
+                let calls = Hashtbl.create 8 in
+                let strict v =
+                  if not (List.mem v mentioned) then
+                    Alcotest.failf "%s root %d: weight asked for unmentioned %s"
+                      bname i v;
+                  Hashtbl.replace calls v
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt calls v));
+                  wmc_weight v
+                in
+                check ratio
+                  (Printf.sprintf "%s root %d" bname i)
+                  (truth_table_wmc f wmc_weight)
+                  (Sdd.probability_ratio m r strict);
+                List.iter
+                  (fun v ->
+                    checki
+                      (Printf.sprintf "%s root %d: calls for %s" bname i v)
+                      1
+                      (Option.value ~default:0 (Hashtbl.find_opt calls v)))
+                  mentioned)
+              roots)
+          resolved);
+  ]
+
 let suites =
   [
     ("backend agreement", agreement_suite);
+    ("backend wmc", wmc_suite);
     ("backend obdd", obdd_suite);
     ("backend dnnf", dnnf_suite);
     ("backend auto", auto_suite);

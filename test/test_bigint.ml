@@ -13,6 +13,22 @@ let big_gen =
       bool
       (list_size (int_range 1 12) (int_range 0 999)))
 
+(* Reference Euclid over [rem], independent of the library's gcd. *)
+let rec euclid a b =
+  if Bigint.is_zero b then Bigint.abs a else euclid b (Bigint.rem a b)
+
+(* Big operands sharing a random common factor (often a power of two),
+   with zero mixed in. *)
+let gcd_operands =
+  QCheck2.Gen.(
+    let operand = oneof [ return Bigint.zero; big_gen ] in
+    map3
+      (fun a b (c, k) ->
+        let c = Bigint.shift_left c k in
+        (Bigint.mul a c, Bigint.mul b c))
+      operand operand
+      (pair big_gen (int_range 0 40)))
+
 let suite =
   [
     case "of_int/to_int roundtrip" (fun () ->
@@ -99,6 +115,12 @@ let suite =
         let g = Bigint.gcd a b in
         Bigint.is_zero g
         || (Bigint.is_zero (Bigint.rem a g) && Bigint.is_zero (Bigint.rem b g)));
+    qtest ~count:300 "gcd agrees with Euclid (big, zero, negative)" gcd_operands
+      (fun (a, b) ->
+        let g = Bigint.gcd a b in
+        Bigint.equal g (euclid a b)
+        && Bigint.equal g (Bigint.gcd b a)
+        && Bigint.sign g >= 0);
   ]
 
 let ratio_suite =
