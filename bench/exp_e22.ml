@@ -49,14 +49,12 @@ let band_dimacs ~width n =
              if j mod 2 = 0 then i + j + 1 else -(i + j + 1))))
 
 (* The circuit families: the E18 pipeline set, scaled past the point
-   where the truth-table routes of the early experiments give up. *)
-(* Sizes are capped by the canonical-SDD rows: the treedec machinery
-   behind `Sdd grows steeply with n (chain-256 alone costs minutes),
-   and E22 is CI-gated.  The linear backends go far beyond these n —
-   E1's panorama and the CNF table below stretch them further. *)
+   where the truth-table routes of the early experiments give up.  The
+   linear backends go far beyond these n — E1's panorama and the CNF
+   table below stretch them further. *)
 let circuit_families =
   [
-    ("chain-impl", [ 32; 64; 128 ], Generators.chain_implications);
+    ("chain-impl", [ 32; 64; 128; 256 ], Generators.chain_implications);
     ("parity-chain", [ 32; 64; 128 ], Generators.parity_chain);
     ("band3-cnf", [ 32; 64 ], Generators.band_cnf ~width:3);
     ("ladder-4", [ 16; 32 ], Generators.ladder ~tracks:4);

@@ -324,14 +324,13 @@ let cnf_primal_graph (d : Dimacs.t) =
     d.Dimacs.clauses;
   g
 
-(* Heuristic tree decomposition sized to the component: the min-fill
-   pass inside [Treewidth.decomposition] is cubic-ish and dominates at
-   SAT scale, so large components fall back to min-degree alone. *)
+(* Heuristic tree decomposition sized to the component: components
+   above 300 variables use min-degree alone, one elimination pass
+   instead of two.  The cut-off fixes which decomposition each large
+   CNF gets. *)
 let var_treedec ?budget g =
   if Ugraph.num_vertices g <= 300 then Treewidth.decomposition ?budget g
-  else
-    Treedec.refine_connected
-      (Treedec.of_elimination_order g (Treewidth.min_degree_order ?budget g))
+  else Treedec.of_elimination (Elimination.run ?budget Min_degree g)
 
 (* Rooted view of a tree decomposition (rooted at bag 0): children
    lists, a post-order over bags, the bag ids containing each variable,

@@ -1,5 +1,3 @@
-module ISet = Set.Make (Int)
-
 type t = { bags : int list array; tree : (int * int) list }
 
 let width t =
@@ -35,109 +33,105 @@ let tree_ok t =
     end
   end
 
+(* Near-linear: one pass over the bags builds each vertex's occurrence
+   list (ascending bag indices, out-of-range vertices and repeats
+   dropped); an edge is covered when its endpoints' lists intersect; and
+   a vertex's occurrence set, a subset of a tree, is connected exactly
+   when all but one of its bags have their parent (rooting the tree at
+   bag 0) in the set too. *)
 let validate g t =
   let n = Ugraph.num_vertices g in
   if not (tree_ok t) then Error "tree edges do not form a tree over the bags"
   else begin
-    let bag_sets = Array.map ISet.of_list t.bags in
-    (* 1. vertex coverage *)
-    let covered = Array.make n false in
-    Array.iter (ISet.iter (fun v -> if v >= 0 && v < n then covered.(v) <- true)) bag_sets;
-    let missing = List.filter (fun v -> not covered.(v)) (Ugraph.vertices g) in
-    if missing <> [] then
-      Error (Printf.sprintf "vertex %d is in no bag" (List.hd missing))
-    else begin
-      (* 2. edge coverage *)
-      let edge_missing =
-        List.find_opt
-          (fun (u, v) ->
-            not (Array.exists (fun b -> ISet.mem u b && ISet.mem v b) bag_sets))
-          (Ugraph.edges g)
-      in
-      match edge_missing with
+    let nb = Array.length t.bags in
+    let occ = Array.make n [] in
+    for i = nb - 1 downto 0 do
+      List.iter
+        (fun v ->
+          if v >= 0 && v < n then
+            match occ.(v) with
+            | j :: _ when j = i -> ()
+            | l -> occ.(v) <- i :: l)
+        t.bags.(i)
+    done;
+    let rec common a b =
+      match (a, b) with
+      | i :: a', j :: b' -> i = j || if i < j then common a' b else common a b'
+      | _ -> false
+    in
+    match List.find_opt (fun v -> occ.(v) = []) (Ugraph.vertices g) with
+    | Some v -> Error (Printf.sprintf "vertex %d is in no bag" v)
+    | None -> (
+      match
+        List.find_opt (fun (u, v) -> not (common occ.(u) occ.(v))) (Ugraph.edges g)
+      with
       | Some (u, v) -> Error (Printf.sprintf "edge (%d,%d) is in no bag" u v)
       | None ->
-        (* 3. connectedness of occurrence sets: for each vertex, the bags
-           containing it must induce a connected subtree. *)
-        let nb = Array.length t.bags in
         let adj = Array.make nb [] in
         List.iter
           (fun (a, b) ->
             adj.(a) <- b :: adj.(a);
             adj.(b) <- a :: adj.(b))
           t.tree;
-        let bad = ref None in
-        for v = 0 to n - 1 do
-          if !bad = None then begin
-            let occ = ref [] in
-            Array.iteri (fun i b -> if ISet.mem v b then occ := i :: !occ) bag_sets;
-            match !occ with
-            | [] -> ()
-            | start :: _ ->
-              let occ_set = ISet.of_list !occ in
-              let seen = Hashtbl.create 16 in
-              let rec dfs i =
-                Hashtbl.replace seen i ();
-                List.iter
-                  (fun j ->
-                    if ISet.mem j occ_set && not (Hashtbl.mem seen j) then dfs j)
-                  adj.(i)
-              in
-              dfs start;
-              if Hashtbl.length seen <> ISet.cardinal occ_set then
-                bad := Some v
-          end
-        done;
-        (match !bad with
-         | Some v ->
-           Error (Printf.sprintf "occurrence set of vertex %d is disconnected" v)
-         | None -> Ok ())
-    end
+        let parent = Array.make nb (-1) in
+        let rec root_at p i =
+          List.iter
+            (fun j ->
+              if j <> p then begin
+                parent.(j) <- i;
+                root_at i j
+              end)
+            adj.(i)
+        in
+        if nb > 0 then root_at (-1) 0;
+        let mark = Array.make nb (-1) in
+        let connected v =
+          List.iter (fun i -> mark.(i) <- v) occ.(v);
+          let roots =
+            List.fold_left
+              (fun k i ->
+                if parent.(i) >= 0 && mark.(parent.(i)) = v then k else k + 1)
+              0 occ.(v)
+          in
+          roots = 1
+        in
+        match List.find_opt (fun v -> not (connected v)) (Ugraph.vertices g) with
+        | Some v ->
+          Error (Printf.sprintf "occurrence set of vertex %d is disconnected" v)
+        | None -> Ok ())
   end
 
 let is_valid g t = Result.is_ok (validate g t)
 
 let trivial g = { bags = [| Ugraph.vertices g |]; tree = [] }
 
+(* Bag i is {v} + v's remaining neighbours at its elimination, joined
+   to the bag of the first-eliminated member of that neighbourhood; the
+   last vertex of a component joins the next bag instead, which keeps a
+   single tree (its occurrences end there). *)
+let of_elimination { Elimination.order; later; _ } =
+  let n = Array.length order in
+  let pos = Array.make n 0 in
+  Array.iteri (fun i v -> pos.(v) <- i) order;
+  let bags =
+    Array.mapi
+      (fun i l -> order.(i) :: List.sort Int.compare (Array.to_list l))
+      later
+  in
+  let tree = ref [] in
+  for i = 0 to n - 1 do
+    let j = Array.fold_left (fun j u -> Stdlib.min j pos.(u)) max_int later.(i) in
+    if j < max_int then tree := (i, j) :: !tree
+    else if i < n - 1 then tree := (i, i + 1) :: !tree
+  done;
+  { bags; tree = !tree }
+
 let of_elimination_order g order =
-  let n = Ugraph.num_vertices g in
-  if List.length order <> n || List.sort compare order <> Ugraph.vertices g then
+  if List.length order <> Ugraph.num_vertices g
+     || List.sort compare order <> Ugraph.vertices g
+  then
     invalid_arg "Treedec.of_elimination_order: not a permutation of the vertices";
-  if n = 0 then { bags = [||]; tree = [] }
-  else begin
-    (* Simulate elimination on adjacency sets; record for each eliminated
-       vertex its bag ({v} + remaining neighbors) and connect its bag to the
-       bag of the first-later-eliminated member of that neighborhood. *)
-    let pos = Array.make n 0 in
-    List.iteri (fun i v -> pos.(v) <- i) order;
-    let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-    let order_arr = Array.of_list order in
-    let bags = Array.make n [] in
-    let tree = ref [] in
-    for i = 0 to n - 1 do
-      let v = order_arr.(i) in
-      let later = ISet.filter (fun u -> pos.(u) > i) adj.(v) in
-      bags.(i) <- v :: ISet.elements later;
-      (* Fill-in: neighbors of v become a clique. *)
-      ISet.iter
-        (fun a ->
-          ISet.iter
-            (fun b -> if a < b then begin
-                adj.(a) <- ISet.add b adj.(a);
-                adj.(b) <- ISet.add a adj.(b)
-              end)
-            later)
-        later;
-      (match ISet.min_elt_opt (ISet.map (fun u -> pos.(u)) later) with
-       | Some j -> tree := (i, j) :: !tree
-       | None ->
-         (* Last vertex of its component: attach to the next bag to keep a
-            single tree (harmless: bag connectivity is preserved since v's
-            occurrences end here). *)
-         if i < n - 1 then tree := (i, i + 1) :: !tree)
-    done;
-    { bags; tree = !tree }
-  end
+  of_elimination (Elimination.run (Elimination.Fixed (Array.of_list order)) g)
 
 let path_decomposition_of_order g order =
   let n = Ugraph.num_vertices g in

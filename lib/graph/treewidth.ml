@@ -4,83 +4,31 @@ module ISet = Set.Make (Int)
 (* Greedy elimination orders                                           *)
 (* ------------------------------------------------------------------ *)
 
-let greedy_order ?(budget = Budget.unlimited) score g =
-  let n = Ugraph.num_vertices g in
-  let adj = Array.init n (fun v -> ISet.of_list (Ugraph.neighbors g v)) in
-  let alive = Array.make n true in
-  let order = ref [] in
-  for _ = 1 to n do
-    (* Pick the alive vertex minimizing the score. *)
-    let best = ref (-1) and best_score = ref max_int in
-    for v = 0 to n - 1 do
-      if alive.(v) then begin
-        (* On fill-heavy graphs a single score evaluation is O(deg²),
-           so the heuristic as a whole can dominate a budgeted compile;
-           poll per evaluation to keep vtree construction pollable. *)
-        if budget.Budget.active then Budget.poll budget;
-        let s = score adj v in
-        if s < !best_score then begin
-          best := v;
-          best_score := s
-        end
-      end
-    done;
-    let v = !best in
-    alive.(v) <- false;
-    order := v :: !order;
-    (* Eliminate: clique-ify neighbors, drop v. *)
-    let nbrs = adj.(v) in
-    ISet.iter
-      (fun a ->
-        ISet.iter
-          (fun b ->
-            if a < b then begin
-              adj.(a) <- ISet.add b adj.(a);
-              adj.(b) <- ISet.add a adj.(b)
-            end)
-          nbrs)
-      nbrs;
-    ISet.iter (fun a -> adj.(a) <- ISet.remove v adj.(a)) nbrs;
-    adj.(v) <- ISet.empty
-  done;
-  List.rev !order
-
 let min_degree_order ?budget g =
-  greedy_order ?budget (fun adj v -> ISet.cardinal adj.(v)) g
+  Array.to_list (Elimination.run ?budget Min_degree g).order
 
 let min_fill_order ?budget g =
-  let fill adj v =
-    let nbrs = ISet.elements adj.(v) in
-    let missing = ref 0 in
-    let rec pairs = function
-      | [] -> ()
-      | a :: rest ->
-        List.iter (fun b -> if not (ISet.mem b adj.(a)) then incr missing) rest;
-        pairs rest
-    in
-    pairs nbrs;
-    !missing
-  in
-  greedy_order ?budget fill g
+  Array.to_list (Elimination.run ?budget Min_fill g).order
 
 let width_of_order g order =
   Treedec.width (Treedec.of_elimination_order g order)
 
+(* The narrower of the min-fill and min-degree eliminations, min-fill on
+   a tie.  Each candidate is one elimination pass that already carries
+   its width and bags. *)
+let best_elimination ?budget g =
+  let fill = Elimination.run ?budget Min_fill g in
+  let degree = Elimination.run ?budget Min_degree g in
+  if degree.width < fill.width then degree else fill
+
 let upper_bound ?budget g =
-  if Ugraph.num_vertices g = 0 then (-1, [])
-  else begin
-    let candidates = [ min_fill_order ?budget g; min_degree_order ?budget g ] in
-    let scored = List.map (fun o -> (width_of_order g o, o)) candidates in
-    List.fold_left
-      (fun (bw, bo) (w, o) -> if w < bw then (w, o) else (bw, bo))
-      (List.hd scored) (List.tl scored)
-  end
+  let e = best_elimination ?budget g in
+  (e.width, Array.to_list e.order)
 
 let decomposition ?budget g =
   Obs.span "treewidth.decomposition" @@ fun () ->
-  let _, order = upper_bound ?budget g in
-  if order = [] then Treedec.trivial g
-  else Treedec.refine_connected (Treedec.of_elimination_order g order)
+  if Ugraph.num_vertices g = 0 then Treedec.trivial g
+  else Treedec.of_elimination (best_elimination ?budget g)
 
 (* ------------------------------------------------------------------ *)
 (* Exact treewidth: DP over subsets of eliminated vertices             *)

@@ -16,15 +16,19 @@ val width_of_order : Ugraph.t -> int list -> int
 (** {1 Upper bounds} *)
 
 val upper_bound : ?budget:Budget.t -> Ugraph.t -> int * int list
-(** Best width over the built-in heuristics, with a witnessing order.
-    [budget] (default {!Budget.unlimited}) is polled once per candidate
-    score evaluation — on fill-heavy graphs the heuristics dominate a
+(** Best width over the min-fill and min-degree eliminations (min-fill
+    on a tie), with a witnessing order.  Each heuristic is one
+    {!Elimination.run}, which polls [budget] (default
+    {!Budget.unlimited}) once per score evaluation: each initial
+    min-fill score, each re-key after an elimination and each fill edge
+    min-fill adds — on fill-heavy graphs the heuristics dominate a
     budgeted compilation otherwise.
     @raise Budget.Exhausted on a trip. *)
 
 val decomposition : ?budget:Budget.t -> Ugraph.t -> Treedec.t
-(** Heuristic tree decomposition (best-of heuristics), polling [budget]
-    like {!upper_bound}. *)
+(** The tree decomposition of {!upper_bound}'s winning elimination,
+    built from the same pass (no elimination is replayed), polling
+    [budget] like {!upper_bound}. *)
 
 (** {1 Exact computation} *)
 

@@ -215,6 +215,41 @@ let ladder_suite =
         checkb "landed on balanced" true (r.Pipeline.strategy = `Balanced);
         Alcotest.(check (option reason)) "degraded" (Some Budget.Node_limit)
           r.Pipeline.degraded);
+    case "trips during min-fill on a wide Tseitin primal graph" (fun () ->
+        (* The first full check comes one poll after every vertex has
+           had its initial score, i.e. while the first eliminations
+           update the scores. *)
+        let g =
+          fst
+            (Tseitin.primal_graph
+               (Tseitin.transform (Generators.chain_implications 128)))
+        in
+        let poll_interval = Ugraph.num_vertices g + 1 in
+        let cancelled = Budget.create ~poll_interval () in
+        Budget.cancel_now cancelled;
+        Alcotest.check_raises "cancel" (Budget.Exhausted Budget.Cancelled)
+          (fun () -> ignore (Treewidth.min_fill_order ~budget:cancelled g));
+        let late = Budget.create ~timeout:0.0 ~poll_interval () in
+        Unix.sleepf 0.01;
+        Alcotest.check_raises "deadline" (Budget.Exhausted Budget.Timeout)
+          (fun () -> ignore (Treewidth.decomposition ~budget:late g)));
+    case "a deadline inside the treedec rung steps down the ladder" (fun () ->
+        Obs.set_enabled true;
+        Obs.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.reset ();
+            Obs.set_enabled false)
+          (fun () ->
+            let c = Generators.chain_implications 128 in
+            let budget = Budget.create ~timeout:0.05 ~poll_interval:1 () in
+            (match Ctwsdd.compile ~budget ~backend:`Sdd ~vtree_strategy:`Treedec c
+             with
+             | Error Ctwsdd_error.Timeout -> ()
+             | Error e -> Alcotest.failf "error %s" (Ctwsdd_error.to_string e)
+             | Ok _ -> Alcotest.fail "a 50 ms deadline did not trip");
+            (* `Treedec → `Balanced → `Right, every rung tripping. *)
+            checki "pipeline.degrade" 2 (Obs.counter_value "pipeline.degrade")));
     case "node-cap degradation is deterministic in domains" (fun () ->
         let c = ladder_circuit () in
         let run domains =

@@ -58,6 +58,19 @@ let pipeline_suite =
             Generators.parity_chain 9;
             Generators.random_formula ~seed:2 ~vars:8 ~depth:5;
           ]);
+    case "chain_implications 128: treedec vtree matches lemma1" (fun () ->
+        (* The Tseitin primal graph turns the 127-input AND into a
+           128-clique; min-fill on it must stay cheap. *)
+        let c = Generators.chain_implications 128 in
+        let vt, width = Pipeline.treedec_vtree c in
+        checki "width" 2 width;
+        let size vt =
+          let m = Sdd.manager vt in
+          Sdd.size m (Sdd.compile_circuit m c)
+        in
+        checki "same SDD size as lemma1"
+          (size (fst (Lemma1.vtree_of_circuit c)))
+          (size vt));
     case "constant circuit is rejected" (fun () ->
         let c = Circuit.of_string "(and true false)" in
         Alcotest.check_raises "no variables"
