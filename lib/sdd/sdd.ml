@@ -1,19 +1,35 @@
 (* Canonical SDDs: hash-consed, compressed, trimmed.
 
-   Node storage is an arena.  Instead of one boxed [node_data] record
-   per node, the manager keeps a struct-of-arrays store — a kind byte, a
-   vtree-node word and an auxiliary word per node, plus an offset into a
-   shared flat element buffer holding the prime/sub pairs of every
-   decision back to back.  A node costs ~3 words + 2 words per element,
-   with no per-node heap object, no tuple boxing and no GC scanning of
-   the payload (every array is immediate ints).
+   Node storage is an arena.  Instead of one boxed record per node, the
+   manager keeps a struct-of-arrays store — a kind byte, a vtree-node
+   word, an auxiliary word and an element offset per node.  The
+   prime/sub pairs of every decision lie back to back in element
+   chunks: an offset encodes a chunk number and a position in that
+   chunk, and a decision never straddles two chunks.  Chunks are never
+   copied — a full chunk stays where it is and the next one (doubling
+   up to [max_chunk] words) is opened beside it.  A node costs ~3 words
+   + 2 words per element, with no per-node heap object, no tuple boxing
+   and no GC scanning of the payload (every array is immediate ints).
 
    The store is published through an [Atomic.t] so that the sharded
    parallel-apply section (see [apply_parallel]) can grow it from one
-   domain while others keep reading: growth copies into fresh arrays and
+   domain while others keep reading: growth copies the node columns, or
+   the chunk directory (never the chunks), into fresh arrays and
    republishes; old snapshots remain valid for every node they cover,
    because node cells are written exactly once, before the node id is
    published (through the unique-table shard mutex that created it).
+
+   The unique table stores node ids only.  Each shard is an
+   open-addressing table of ids; a slot is hashed and compared against
+   the decision's own cells in the arena, so the elements are stored
+   once, in the chunks.
+
+   Apply and node construction work on a per-domain scratch stack of
+   ints: apply pushes both operands' elements and then the product
+   pairs, compression groups and sorts them in place, and the unique
+   lookup reads the candidate straight from the stack.  Every routine
+   pops what it pushed; the public entry points also restore the depth
+   when an exception ([Budget.Exhausted]) unwinds through them.
 
    Tombstones left by dynamic vtree edits are reclaimed by a periodic
    compaction pass ([compact] / [maybe_compact]): mark from the caller's
@@ -24,32 +40,6 @@
    telemetry surface shows reclamation at work. *)
 
 type t = int
-
-(* The unique table is keyed by [|v; p0; s0; p1; s1; ...|].  Polymorphic
-   hashing only samples a bounded prefix of a structured key, so wide
-   decision nodes collide pathologically; hash the whole key FNV-1a
-   style instead, and compare with a monomorphic int-array loop. *)
-module Dec_key = struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      let x = a.(i) in
-      h := (!h lxor (x land 0xffff)) * 0x01000193 land 0x3fffffff;
-      h := (!h lxor ((x lsr 16) land 0xffff)) * 0x01000193 land 0x3fffffff
-    done;
-    !h
-end
-
-module Dec_tbl = Hashtbl.Make (Dec_key)
 
 (* Apply/negate/condition caches use a single unboxed int key (node ids
    and vtree nodes packed into one word), so a lookup allocates nothing
@@ -77,9 +67,236 @@ type store = {
   kind : Bytes.t;
   vnode : int array;  (* vtree node; -1 for constants *)
   aux : int array;  (* constant value / literal polarity / element count *)
-  off : int array;  (* decision: base index into [elems]; -1 otherwise *)
-  elems : int array;  (* prime/sub pairs of all decisions, back to back *)
+  off : int array;  (* decision: chunk lsl pos_bits lor position; else -1 *)
+  chunks : int array array;  (* element chunk directory *)
 }
+
+let pos_bits = 32
+let pos_mask = (1 lsl pos_bits) - 1
+let first_chunk = 1024
+let max_chunk = 1 lsl 16
+
+let[@inline] chunk_of st o = Array.unsafe_get st.chunks (o lsr pos_bits)
+let[@inline] pos_of o = o land pos_mask
+
+(* Node ids stay far below 2^31 in any workload that fits in memory, so
+   two of them pack into one word: apply keys, and the sort keys of
+   [mk_decision]. *)
+let mask31 = (1 lsl 31) - 1
+let[@inline] pair_key a b = (a lsl 31) lor b
+
+(* ------------------------------------------------------------------ *)
+(* Unique table: node ids keyed by their arena cells                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One shard: linear probing over id slots ([-1] = free), at most half
+   full.  The key of a slot is the decision's vtree node and elements,
+   read from the store; a candidate is a vtree node plus [k] prime/sub
+   pairs at [buf.(base ..)], hashed the same way. *)
+type utable = { mutable slots : int array; mutable used : int }
+
+let utable_initial = 64
+
+let[@inline] hash_step h x = (h lxor x) * 0x100000001b3
+
+let hash_elems v (buf : int array) base k =
+  let h = ref (hash_step 0x811c9dc5 v) in
+  for i = base to base + (2 * k) - 1 do
+    h := hash_step !h (Array.unsafe_get buf i)
+  done;
+  let h = !h in
+  (h lxor (h lsr 29)) land max_int
+
+let hash_of_store st id =
+  let o = st.off.(id) in
+  hash_elems st.vnode.(id) (chunk_of st o) (pos_of o) st.aux.(id)
+
+(* The probe loops are top-level functions of all their variables: a
+   local closure would be allocated on every lookup. *)
+let rec same_from (c : int array) p (buf : int array) base n i =
+  i >= n || (c.(p + i) = buf.(base + i) && same_from c p buf base n (i + 1))
+
+let rec probe_find st slots mask v buf base k i =
+  let id = Array.unsafe_get slots i in
+  if id < 0 then -1 - i
+  else if
+    st.vnode.(id) = v
+    && st.aux.(id) = k
+    &&
+    let o = st.off.(id) in
+    same_from (chunk_of st o) (pos_of o) buf base (2 * k) 0
+  then id
+  else probe_find st slots mask v buf base k ((i + 1) land mask)
+
+(* The id of the decision [(v, buf.(base ..))], or [-1 - slot] for the
+   free slot where it belongs.  [st] must cover every id in [tbl]. *)
+let utable_find st tbl v buf base k =
+  let mask = Array.length tbl.slots - 1 in
+  probe_find st tbl.slots mask v buf base k (hash_elems v buf base k land mask)
+
+let rec free_from slots mask i =
+  if slots.(i) < 0 then i else free_from slots mask ((i + 1) land mask)
+
+let free_slot slots h =
+  let mask = Array.length slots - 1 in
+  free_from slots mask (h land mask)
+
+let utable_grow st tbl =
+  let old = tbl.slots in
+  let slots = Array.make (2 * Array.length old) (-1) in
+  Array.iter
+    (fun id ->
+      if id >= 0 then slots.(free_slot slots (hash_of_store st id)) <- id)
+    old;
+  tbl.slots <- slots
+
+let utable_insert_at st tbl slot id =
+  tbl.slots.(slot) <- id;
+  tbl.used <- tbl.used + 1;
+  if 2 * tbl.used > Array.length tbl.slots then utable_grow st tbl
+
+let utable_add st tbl id =
+  utable_insert_at st tbl (free_slot tbl.slots (hash_of_store st id)) id
+
+(* Emptied in place, keeping the capacity (an edit refills it to about
+   the same size)... *)
+let utable_clear tbl =
+  Array.fill tbl.slots 0 (Array.length tbl.slots) (-1);
+  tbl.used <- 0
+
+(* ...or back to the initial size (a rebuild after compaction grows it
+   to fit the live set). *)
+let utable_reset tbl =
+  tbl.slots <- Array.make utable_initial (-1);
+  tbl.used <- 0
+
+(* Runs of occupied slots, wrapping around (a table at most half full
+   always has a free slot to start from): a lookup that misses scans to
+   the end of its run, so the longest run bounds every probe. *)
+let utable_runs tbl f =
+  let slots = tbl.slots in
+  let n = Array.length slots in
+  let free = free_slot slots 0 in
+  let run = ref 0 in
+  for j = 1 to n do
+    if slots.((free + j) mod n) >= 0 then incr run
+    else if !run > 0 then begin
+      f !run;
+      run := 0
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Scratch stack                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One per domain, so the [apply_parallel] workers never share one.
+   Callers address it by index and re-read [buf] after any call that
+   may push (growth replaces the array). *)
+type scratch = { mutable buf : int array; mutable sp : int }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { buf = Array.make 256 0; sp = 0 })
+
+let[@inline] scratch () = Domain.DLS.get scratch_key
+let scratch_depth () = (scratch ()).sp
+
+let grow_scratch stk need =
+  let n = ref (2 * Array.length stk.buf) in
+  while !n < need do
+    n := 2 * !n
+  done;
+  let buf = Array.make !n 0 in
+  Array.blit stk.buf 0 buf 0 stk.sp;
+  stk.buf <- buf
+
+(* Claim [n] words above the top; returns their base. *)
+let[@inline] scratch_alloc stk n =
+  let base = stk.sp in
+  if base + n > Array.length stk.buf then grow_scratch stk (base + n);
+  stk.sp <- base + n;
+  base
+
+let[@inline] push2 stk a b =
+  let i = scratch_alloc stk 2 in
+  let buf = stk.buf in
+  Array.unsafe_set buf i a;
+  Array.unsafe_set buf (i + 1) b
+
+(* Runs [f] on the domain's stack and restores its depth on every exit. *)
+let with_scratch f =
+  let stk = scratch () in
+  let base = stk.sp in
+  match f stk with
+  | r ->
+    stk.sp <- base;
+    r
+  | exception e ->
+    stk.sp <- base;
+    raise e
+
+(* Ascending in-place sort of [buf.(lo .. lo + n - 1)]: insertion sort
+   for the short runs that dominate, heapsort beyond. *)
+let sort_range (buf : int array) lo n =
+  if n <= 16 then
+    for i = lo + 1 to lo + n - 1 do
+      let x = buf.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && buf.(!j) > x do
+        buf.(!j + 1) <- buf.(!j);
+        decr j
+      done;
+      buf.(!j + 1) <- x
+    done
+  else begin
+    let swap i j =
+      let t = buf.(lo + i) in
+      buf.(lo + i) <- buf.(lo + j);
+      buf.(lo + j) <- t
+    in
+    let rec sift i len =
+      let l = (2 * i) + 1 in
+      if l < len then begin
+        let c =
+          if l + 1 < len && buf.(lo + l + 1) > buf.(lo + l) then l + 1 else l
+        in
+        if buf.(lo + c) > buf.(lo + i) then begin
+          swap i c;
+          sift c len
+        end
+      end
+    in
+    for i = (n / 2) - 1 downto 0 do
+      sift i n
+    done;
+    for e = n - 1 downto 1 do
+      swap 0 e;
+      sift 0 e
+    done
+  end
+
+(* Sort the [k] pairs at [base] by prime: pack each pair into one word,
+   sort, unpack in place. *)
+let sort_pairs_by_prime (buf : int array) base k =
+  for i = 0 to k - 1 do
+    buf.(base + i) <- pair_key buf.(base + (2 * i)) buf.(base + (2 * i) + 1)
+  done;
+  sort_range buf base k;
+  for i = k - 1 downto 0 do
+    let x = buf.(base + i) in
+    buf.(base + (2 * i)) <- x lsr 31;
+    buf.(base + (2 * i) + 1) <- x land mask31
+  done
+
+let reverse_pairs (buf : int array) base k =
+  for i = 0 to (k / 2) - 1 do
+    let a = base + (2 * i) and b = base + (2 * (k - 1 - i)) in
+    let p = buf.(a) and s = buf.(a + 1) in
+    buf.(a) <- buf.(b);
+    buf.(a + 1) <- buf.(b + 1);
+    buf.(b) <- p;
+    buf.(b + 1) <- s
+  done
 
 (* The unique table and the packed-int caches are sharded so the
    parallel-apply section contends on stripes, not one global lock:
@@ -91,11 +308,17 @@ let shard_mask = n_shards - 1
 
 let[@inline] dec_shard v = v land shard_mask
 
+(* A cache shard takes the top bits of the 30-bit key hash; the shard's
+   [Hashtbl] takes its bucket from the low bits, so the two never
+   correlate and every shard spreads over all of its buckets. *)
+let[@inline] cache_shard key = Int_key.hash key lsr (30 - shard_bits)
+
 type manager = {
   mutable vt : Vtree.t;
   store : store Atomic.t;
   count : int Atomic.t;  (* node slots handed out *)
-  mutable elems_len : int;  (* words used in [store.elems] *)
+  mutable chunk_n : int;  (* element chunks opened; the last is current *)
+  mutable chunk_fill : int;  (* words used in the current chunk *)
   mutable budget : Budget.t;
   canonical : bool;
       (* [false] only for counting-only (d-DNNF) managers: decisions are
@@ -103,7 +326,7 @@ type manager = {
          equality is no longer function equality — but determinism,
          decomposability and structuredness still hold, which is all the
          counting walks need. *)
-  unique : int Dec_tbl.t array;  (* sharded by [dec_shard vnode] *)
+  unique : utable array;  (* sharded by [dec_shard vnode] *)
   mutable lit_tbl : int array;  (* 2*leaf + polarity -> node id, -1 free *)
   and_cache : int Int_tbl.t array;  (* sharded by key hash *)
   or_cache : int Int_tbl.t array;
@@ -113,7 +336,7 @@ type manager = {
      false outside [apply_parallel], where every lock site reduces to a
      load and a branch. *)
   mutable parallel : bool;
-  alloc_mu : Mutex.t;  (* guards store growth, count, elems_len *)
+  alloc_mu : Mutex.t;  (* guards store growth, count, chunk_n/fill *)
   unique_mu : Mutex.t array;  (* one per unique shard *)
   cache_mu : Mutex.t array;  (* one per cache shard *)
   (* Lock observability: per-shard acquisition and contended-acquisition
@@ -171,10 +394,6 @@ let live_managers () =
   Mutex.unlock registry_mu;
   !out
 
-(* Apply keys pack the commuted operand pair; node ids stay far below
-   2^31 in any workload that fits in memory. *)
-let[@inline] pair_key a b = (a lsl 31) lor b
-
 let initial_store () =
   let cap = 1024 in
   let kind = Bytes.make cap k_tomb in
@@ -184,19 +403,23 @@ let initial_store () =
   Bytes.unsafe_set kind 0 k_const;
   Bytes.unsafe_set kind 1 k_const;
   aux.(1) <- 1;
-  { kind; vnode; aux; off; elems = Array.make 1024 0 }
+  let chunks = Array.make 8 [||] in
+  chunks.(0) <- Array.make first_chunk 0;
+  { kind; vnode; aux; off; chunks }
 
 let tbl_entries shards =
   Array.fold_left (fun acc t -> acc + Int_tbl.length t) 0 shards
 
-let unique_entries_of m =
-  Array.fold_left (fun acc t -> acc + Dec_tbl.length t) 0 m.unique
+let unique_entries_of m = Array.fold_left (fun acc t -> acc + t.used) 0 m.unique
 
 let create_manager ~canonical ?(budget = Budget.unlimited)
     ?(compact_every = max_int) vt =
   if compact_every < 1 then
     invalid_arg "Sdd.manager: compact_every must be positive";
-  let unique = Array.init n_shards (fun _ -> Dec_tbl.create 128) in
+  let unique =
+    Array.init n_shards (fun _ ->
+        { slots = Array.make utable_initial (-1); used = 0 })
+  in
   let and_cache = Array.init n_shards (fun _ -> Int_tbl.create 128) in
   let or_cache = Array.init n_shards (fun _ -> Int_tbl.create 128) in
   let neg_cache = Array.init n_shards (fun _ -> Int_tbl.create 32) in
@@ -206,7 +429,8 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       vt;
       store = Atomic.make (initial_store ());
       count = Atomic.make 2;
-      elems_len = 0;
+      chunk_n = 1;
+      chunk_fill = 0;
       budget;
       canonical;
       unique;
@@ -233,8 +457,7 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
       last_compact_count = 2;
       cs_unique =
         Obs.Cache.create
-          ~size:(fun () ->
-            Array.fold_left (fun acc t -> acc + Dec_tbl.length t) 0 unique)
+          ~size:(fun () -> Array.fold_left (fun acc t -> acc + t.used) 0 unique)
           "sdd.unique";
       cs_and =
         Obs.Cache.create ~size:(fun () -> tbl_entries and_cache) "sdd.and_cache";
@@ -248,8 +471,8 @@ let create_manager ~canonical ?(budget = Budget.unlimited)
           "sdd.cond_cache";
     }
   in
-  Int_tbl.replace m.neg_cache.(Int_key.hash 0 land shard_mask) 0 1;
-  Int_tbl.replace m.neg_cache.(Int_key.hash 1 land shard_mask) 1 0;
+  Int_tbl.replace m.neg_cache.(cache_shard 0) 0 1;
+  Int_tbl.replace m.neg_cache.(cache_shard 1) 1 0;
   register_manager m;
   m
 
@@ -286,28 +509,31 @@ let stats m =
   List.map Obs.Cache.snapshot
     [ m.cs_unique; m.cs_and; m.cs_or; m.cs_neg; m.cs_cond ]
 
-(* Unique-table and apply-cache occupancy telemetry: bucket-length
-   distribution from [Hashtbl.statistics] aggregated over the shards,
-   entry watermarks and load factor.  Called after whole-circuit
-   compiles and dynamic edits, not per operation, so the bucket walks
-   stay off the hot path. *)
+(* Longest bucket chain over a set of cache shards. *)
+let max_chain shards =
+  Array.fold_left
+    (fun acc t -> Stdlib.max acc (Int_tbl.stats t).Hashtbl.max_bucket_length)
+    0 shards
+
+(* Unique-table and apply-cache occupancy telemetry: the distribution
+   of occupied-slot runs (the probe lengths of the open-addressing
+   shards), entry watermarks and load factor.  Called after
+   whole-circuit compiles and dynamic edits, not per operation, so the
+   slot walks stay off the hot path. *)
 let probe_occupancy m =
-  let bindings = ref 0 and buckets = ref 0 and max_bucket = ref 0 in
+  let bindings = ref 0 and slots = ref 0 and max_run = ref 0 in
   Array.iter
     (fun tbl ->
-      let st = Dec_tbl.stats tbl in
-      bindings := !bindings + st.Hashtbl.num_bindings;
-      buckets := !buckets + st.Hashtbl.num_buckets;
-      max_bucket := Stdlib.max !max_bucket st.Hashtbl.max_bucket_length;
-      Array.iteri
-        (fun len count ->
-          if count > 0 then Obs.hist_record ~n:count "sdd.unique.bucket_len" len)
-        st.Hashtbl.bucket_histogram)
+      bindings := !bindings + tbl.used;
+      slots := !slots + Array.length tbl.slots;
+      utable_runs tbl (fun len ->
+          max_run := Stdlib.max !max_run len;
+          Obs.hist_record "sdd.unique.bucket_len" len))
     m.unique;
   Obs.gauge_max "sdd.unique.entries_peak" !bindings;
-  Obs.gauge_max "sdd.unique.max_bucket" !max_bucket;
-  if !buckets > 0 then
-    Obs.hist_record "sdd.unique.load_pct" (100 * !bindings / !buckets);
+  Obs.gauge_max "sdd.unique.max_bucket" !max_run;
+  if !slots > 0 then
+    Obs.hist_record "sdd.unique.load_pct" (100 * !bindings / !slots);
   Obs.gauge_max "sdd.apply_cache.entries_peak"
     (tbl_entries m.and_cache + tbl_entries m.or_cache)
 
@@ -324,6 +550,7 @@ type census = {
   unique_entries : int;
   unique_buckets : int;
   unique_max_bucket : int;
+  apply_max_bucket : int;
   apply_entries : int;
   neg_entries : int;
   cond_entries : int;
@@ -335,13 +562,21 @@ type census = {
   compactions : int;
 }
 
+(* Words held by the element chunks in use. *)
+let elems_capacity m st =
+  let w = ref 0 in
+  for i = 0 to m.chunk_n - 1 do
+    w := !w + Array.length st.chunks.(i)
+  done;
+  !w
+
 (* Exact walk over the node store; O(allocated), called at dump/export
    time only, never on a hot path.  The estimate counts the arena
    arrays themselves (per-node storage is flat: ~25/8 words of header
-   across the four column arrays plus the element pairs), the literal
-   table, and per live decision its unique-table key array and an
-   amortized bucket cell.  [garbage_words] is the slice of that total
-   stranded by tombstones — reclaimable by the next compaction. *)
+   across the four column arrays plus the element chunks), the literal
+   table and the unique table's id slots.  [garbage_words] is the slice
+   of that total stranded by tombstones — reclaimable by the next
+   compaction. *)
 let census m =
   let st = Atomic.get m.store in
   let count = Stdlib.min (Atomic.get m.count) (Bytes.length st.kind) in
@@ -350,18 +585,11 @@ let census m =
   and tombstones = ref 0
   and elements = ref 0 in
   let cap = Bytes.length st.kind in
-  let words =
-    ref (((cap + 7) / 8) + (3 * cap) + Array.length st.elems
-        + Array.length m.lit_tbl)
-  in
   for id = 2 to count - 1 do
     let k = Bytes.unsafe_get st.kind id in
     if k = k_dec then begin
-      let e = st.aux.(id) in
       Stdlib.incr decisions;
-      elements := !elements + e;
-      (* unique-table key array (1 + 2e ints + header) and bucket cell *)
-      words := !words + (2 * e) + 5
+      elements := !elements + st.aux.(id)
     end
     else if k = k_lit then Stdlib.incr literals
     else Stdlib.incr tombstones
@@ -369,11 +597,14 @@ let census m =
   let ub = ref 0 and ubk = ref 0 and umax = ref 0 in
   Array.iter
     (fun tbl ->
-      let s = Dec_tbl.stats tbl in
-      ub := !ub + s.Hashtbl.num_bindings;
-      ubk := !ubk + s.Hashtbl.num_buckets;
-      umax := Stdlib.max !umax s.Hashtbl.max_bucket_length)
+      ub := !ub + tbl.used;
+      ubk := !ubk + Array.length tbl.slots;
+      utable_runs tbl (fun len -> umax := Stdlib.max !umax len))
     m.unique;
+  let words =
+    ((cap + 7) / 8) + (3 * cap) + elems_capacity m st
+    + Array.length st.chunks + Array.length m.lit_tbl + !ubk
+  in
   {
     allocated = count;
     decisions = !decisions;
@@ -383,12 +614,13 @@ let census m =
     unique_entries = !ub;
     unique_buckets = !ubk;
     unique_max_bucket = !umax;
+    apply_max_bucket = Stdlib.max (max_chain m.and_cache) (max_chain m.or_cache);
     apply_entries = tbl_entries m.and_cache + tbl_entries m.or_cache;
     neg_entries = tbl_entries m.neg_cache;
     cond_entries = tbl_entries m.cond_cache;
     data_capacity = cap;
-    approx_heap_words = !words;
-    bytes_per_node = 8 * !words / Stdlib.max 1 count;
+    approx_heap_words = words;
+    bytes_per_node = 8 * words / Stdlib.max 1 count;
     garbage_words = (3 * !tombstones) + (2 * m.dead_elems);
     generation = m.generation;
     compactions = m.compactions_done;
@@ -405,6 +637,7 @@ let census_to_json c =
       ("unique_entries", Obs.Json.Int c.unique_entries);
       ("unique_buckets", Obs.Json.Int c.unique_buckets);
       ("unique_max_bucket", Obs.Json.Int c.unique_max_bucket);
+      ("apply_max_bucket", Obs.Json.Int c.apply_max_bucket);
       ("apply_entries", Obs.Json.Int c.apply_entries);
       ("neg_entries", Obs.Json.Int c.neg_entries);
       ("cond_entries", Obs.Json.Int c.cond_entries);
@@ -533,7 +766,7 @@ let[@inline] budget_gate m =
     Budget.poll m.budget
   end
 
-(* Store growth.  Copies into fresh arrays and republishes the record;
+(* Node-column growth.  Copies into fresh arrays and republishes the record;
    in parallel mode the caller holds [alloc_mu], and readers racing on
    an old snapshot stay correct because every cell they can name was
    written before its id was published.  Returns the store to write
@@ -551,23 +784,41 @@ let ensure_node_capacity m st id =
     Array.blit st.aux 0 aux 0 cap;
     let off = Array.make cap' (-1) in
     Array.blit st.off 0 off 0 cap;
-    let st' = { kind; vnode; aux; off; elems = st.elems } in
+    let st' = { kind; vnode; aux; off; chunks = st.chunks } in
     Atomic.set m.store st';
     st'
   end
 
-let ensure_elems_capacity m st needed =
-  if needed <= Array.length st.elems then st
+(* Room for [need] element words in the current chunk [st] (the newest
+   store), or in a fresh chunk when it is full; returns the offset.  A
+   fresh chunk doubles the last one up to [max_chunk] words, and is
+   larger only for a decision that needs it.  The chunk directory grows
+   by copy and republication; the chunks themselves never move. *)
+let reserve_elems m st need =
+  let cur = m.chunk_n - 1 in
+  if m.chunk_fill + need <= Array.length st.chunks.(cur) then begin
+    let o = (cur lsl pos_bits) lor m.chunk_fill in
+    m.chunk_fill <- m.chunk_fill + need;
+    o
+  end
   else begin
-    let cap = ref (2 * Array.length st.elems) in
-    while needed > !cap do
-      cap := 2 * !cap
-    done;
-    let elems = Array.make !cap 0 in
-    Array.blit st.elems 0 elems 0 m.elems_len;
-    let st' = { st with elems } in
-    Atomic.set m.store st';
-    st'
+    let last = Array.length st.chunks.(cur) in
+    let size = Stdlib.max need (Stdlib.min max_chunk (2 * last)) in
+    let st =
+      if m.chunk_n < Array.length st.chunks then st
+      else begin
+        let dir = Array.make (2 * m.chunk_n) [||] in
+        Array.blit st.chunks 0 dir 0 m.chunk_n;
+        let st' = { st with chunks = dir } in
+        Atomic.set m.store st';
+        st'
+      end
+    in
+    st.chunks.(m.chunk_n) <- Array.make size 0;
+    let o = m.chunk_n lsl pos_bits in
+    m.chunk_n <- m.chunk_n + 1;
+    m.chunk_fill <- need;
+    o
   end
 
 (* Allocation telemetry, shared by the raw allocators below. *)
@@ -596,22 +847,18 @@ let alloc_lit_raw m leaf polarity =
   after_alloc m (id + 1);
   id
 
-(* Raw decision allocation from a prime-sorted element list. *)
-let alloc_dec_raw m v sorted k =
+(* Raw decision allocation from the [k] pairs at [buf.(base ..)], in
+   their final element order. *)
+let alloc_dec_raw m v (buf : int array) base k =
   let id = Atomic.get m.count in
   let st = ensure_node_capacity m (Atomic.get m.store) id in
-  let st = ensure_elems_capacity m st (m.elems_len + (2 * k)) in
-  let base = m.elems_len in
-  List.iteri
-    (fun i (p, s) ->
-      st.elems.(base + (2 * i)) <- p;
-      st.elems.(base + (2 * i) + 1) <- s)
-    sorted;
+  let o = reserve_elems m st (2 * k) in
+  let st = Atomic.get m.store in
+  Array.blit buf base (chunk_of st o) (pos_of o) (2 * k);
   Bytes.unsafe_set st.kind id k_dec;
   st.vnode.(id) <- v;
   st.aux.(id) <- k;
-  st.off.(id) <- base;
-  m.elems_len <- base + (2 * k);
+  st.off.(id) <- o;
   Atomic.set m.count (id + 1);
   after_alloc m (id + 1);
   if !Obs.enabled_ref then Attribution.charge_elements k;
@@ -636,15 +883,15 @@ let[@inline] hold_end name t0 =
   if !Obs.enabled_ref && t0 > 0. then
     Obs.hist_record name (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
 
-let alloc_dec m v sorted k =
+let alloc_dec m v buf base k =
   budget_gate m;
   if m.parallel then begin
     lock_counted m.alloc_mu m.lk_alloc_acq m.lk_alloc_cont;
-    let id = alloc_dec_raw m v sorted k in
+    let id = alloc_dec_raw m v buf base k in
     Mutex.unlock m.alloc_mu;
     id
   end
-  else alloc_dec_raw m v sorted k
+  else alloc_dec_raw m v buf base k
 
 (* Literal lookup by vtree leaf and polarity (0/1).  Outside a parallel
    section misses allocate directly; inside one, [apply_parallel]
@@ -691,14 +938,20 @@ let is_false _ a = a = 0
 (* Elements of decision [id] as a (prime, sub) list, newest snapshot not
    required: cells are immutable once published. *)
 let elements_list st id =
-  let k = st.aux.(id) and base = st.off.(id) in
+  let k = st.aux.(id) and o = st.off.(id) in
+  let c = chunk_of st o and base = pos_of o in
   let rec go i acc =
     if i < 0 then acc
-    else
-      go (i - 1)
-        ((st.elems.(base + (2 * i)), st.elems.(base + (2 * i) + 1)) :: acc)
+    else go (i - 1) ((c.(base + (2 * i)), c.(base + (2 * i) + 1)) :: acc)
   in
   go (k - 1) []
+
+(* Pushes the elements of decision [id] onto the scratch stack, in
+   stored order. *)
+let push_elements stk st id =
+  let k = st.aux.(id) and o = st.off.(id) in
+  let base = scratch_alloc stk (2 * k) in
+  Array.blit (chunk_of st o) (pos_of o) stk.buf base (2 * k)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cache access                                                *)
@@ -707,7 +960,7 @@ let elements_list st id =
 (* Missing entries return -1 (node ids are non-negative) so the hot
    path is exception-free.  Sequential mode takes no locks. *)
 let cache_find m (shards : int Int_tbl.t array) key =
-  let s = Int_key.hash key land shard_mask in
+  let s = cache_shard key in
   if not m.parallel then
     match Int_tbl.find shards.(s) key with
     | r -> r
@@ -727,7 +980,7 @@ let cache_find m (shards : int Int_tbl.t array) key =
   end
 
 let cache_put m (shards : int Int_tbl.t array) key v =
-  let s = Int_key.hash key land shard_mask in
+  let s = cache_shard key in
   if not m.parallel then Int_tbl.replace shards.(s) key v
   else begin
     let mu = m.cache_mu.(s) in
@@ -742,7 +995,52 @@ let cache_put m (shards : int Int_tbl.t array) key v =
 (* Node construction: compression, trimming, unique table              *)
 (* ------------------------------------------------------------------ *)
 
-let rec negate m a =
+(* Find-or-claim of the canonical decision at [v] whose [k] prime-sorted
+   pairs are at [buf.(base ..)]. *)
+let find_or_alloc m tbl v buf base k =
+  let r = utable_find (Atomic.get m.store) tbl v buf base k in
+  if r >= 0 then begin
+    cache_hit m.cs_unique;
+    r
+  end
+  else begin
+    cache_miss m.cs_unique;
+    let id = alloc_dec m v buf base k in
+    utable_insert_at (Atomic.get m.store) tbl (-1 - r) id;
+    id
+  end
+
+let unique_intern m v (buf : int array) base k =
+  let shard = dec_shard v in
+  let tbl = m.unique.(shard) in
+  if not m.parallel then find_or_alloc m tbl v buf base k
+  else begin
+    (* The shard mutex is held across find + alloc + add so two domains
+       cannot both allocate the same decision (canonicity requires
+       exactly one id per key).  [alloc_dec] nests [alloc_mu] inside the
+       shard lock; the lock order is always shard → alloc and
+       [alloc_mu] takes no further locks, so there is no cycle.  The
+       store is read under the shard lock, so it covers every id the
+       shard holds.  A budget trip inside [alloc_dec] must release the
+       shard. *)
+    let mu = m.unique_mu.(shard) in
+    lock_counted mu m.lk_unique_acq.(shard) m.lk_unique_cont.(shard);
+    let t0 = hold_start () in
+    match find_or_alloc m tbl v buf base k with
+    | id ->
+      hold_end "sdd.unique_lock_hold_ns" t0;
+      Mutex.unlock mu;
+      id
+    | exception e ->
+      hold_end "sdd.unique_lock_hold_ns" t0;
+      Mutex.unlock mu;
+      raise e
+  end
+
+(* The internal kernel threads the domain's scratch stack [stk]; every
+   function here leaves its depth as it found it on a normal return. *)
+
+let rec negate_k m stk a =
   let c = cache_find m m.neg_cache a in
   if c >= 0 then begin
     cache_hit m.cs_neg;
@@ -755,234 +1053,240 @@ let rec negate m a =
     let r =
       if k = k_const then 1 - st.aux.(a)
       else if k = k_lit then literal_at m st.vnode.(a) (1 - st.aux.(a))
-      else
-        mk_decision m st.vnode.(a)
-          (List.map (fun (p, s) -> (p, negate m s)) (elements_list st a))
+      else begin
+        let n = st.aux.(a) in
+        let lo = stk.sp in
+        push_elements stk st a;
+        for i = 0 to n - 1 do
+          let s = negate_k m stk stk.buf.(lo + (2 * i) + 1) in
+          stk.buf.(lo + (2 * i) + 1) <- s
+        done;
+        reverse_pairs stk.buf lo n;
+        mk_decision_k m stk st.vnode.(a) lo
+      end
     in
     cache_put m m.neg_cache a r;
     cache_put m m.neg_cache r a;
     r
   end
 
-(* Counting-only (non-canonical) decision constructor: no unique-table
-   find-or-claim, no element sort.  Compression by sub {e id} is kept —
-   merging (p₁,s) (p₂,s) into (p₁∨p₂,s) is semantics-preserving
-   whatever the ids mean, and without it conjunction chains double
-   their fanout per clause (exponential blowup on E19-style chains).
-   The primes handed in are pairwise disjoint and jointly exhaustive,
-   which keeps the result deterministic, decomposable and structured —
-   the invariants [model_count] / [probability*] rely on — at the cost
-   of canonicity: equal {e functions} may still get distinct ids.
-   Only id-safe trims are applied; the post-compression singleton trim
-   is sound because the primes' disjunction is ⊤ by exhaustiveness
-   even when its id is not 1. *)
-and mk_decision_nc m v elems =
-  let elems = List.filter (fun (p, _) -> p <> 0) elems in
-  let by_sub = Hashtbl.create 8 in
-  let subs_in_order = ref [] in
-  List.iter
-    (fun (p, s) ->
-      match Hashtbl.find_opt by_sub s with
-      | Some ps -> ps := p :: !ps
-      | None ->
-        Hashtbl.add by_sub s (ref [ p ]);
-        subs_in_order := s :: !subs_in_order)
-    elems;
-  let compressed =
-    List.rev_map
-      (fun s ->
-        match !(Hashtbl.find by_sub s) with
-        | [ p ] -> (p, s)
-        | ps -> (List.fold_left (fun acc p -> disjoin m acc p) 0 ps, s))
-      !subs_in_order
-  in
-  match compressed with
-  | [] -> 0
-  | [ (_, s) ] ->
-    (* Exhaustive primes with one shared sub: ∨ᵢ(pᵢ ∧ s) ≡ s. *)
-    s
-  | [ (p, 1); (_, 0) ] | [ (_, 0); (p, 1) ] -> p
-  | compressed ->
-    let k = List.length compressed in
-    if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    alloc_dec m v compressed k
+(* Builds the node for a decision at vtree node [v] from the pairs on
+   the stack between [lo] and the top, in production order; their
+   primes are pairwise disjoint and jointly exhaustive (some may be ⊥).
+   Pops them.
 
-(* Builds the canonical node for a decision at vtree node [v] from an
-   element list whose primes are pairwise disjoint and jointly exhaustive
-   (some primes may be ⊥). *)
-and mk_decision m v elems =
-  if not m.canonical then mk_decision_nc m v elems
-  else begin
-  (* Drop false primes. *)
-  let elems = List.filter (fun (p, _) -> p <> 0) elems in
-  (* Compression: merge elements sharing a sub (disjoin their primes). *)
-  let by_sub = Hashtbl.create 8 in
-  let subs_in_order = ref [] in
-  List.iter
-    (fun (p, s) ->
-      match Hashtbl.find_opt by_sub s with
-      | Some ps -> ps := p :: !ps
-      | None ->
-        Hashtbl.add by_sub s (ref [ p ]);
-        subs_in_order := s :: !subs_in_order)
-    elems;
-  let compressed =
-    List.rev_map
-      (fun s ->
-        let ps = !(Hashtbl.find by_sub s) in
-        let p = List.fold_left (fun acc p -> disjoin m acc p) 0 ps in
-        (p, s))
-      !subs_in_order
-  in
-  match compressed with
-  | [] -> 0
-  | [ (p, s) ] ->
-    assert (p = 1);
-    s
-  | [ (p, 1); (_, 0) ] -> p
-  | [ (_, 0); (q, 1) ] -> q
-  | _ ->
-    let sorted =
-      List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) compressed
-    in
-    let k = List.length sorted in
-    if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" k;
-    let key = Array.make (1 + (2 * k)) v in
-    List.iteri
-      (fun i (p, s) ->
-        key.((2 * i) + 1) <- p;
-        key.((2 * i) + 2) <- s)
-      sorted;
-    let shard = dec_shard v in
-    let tbl = m.unique.(shard) in
-    if not m.parallel then begin
-      match Dec_tbl.find tbl key with
-      | id ->
-        cache_hit m.cs_unique;
-        id
-      | exception Not_found ->
-        cache_miss m.cs_unique;
-        let id = alloc_dec m v sorted k in
-        Dec_tbl.add tbl key id;
-        id
+   Compression merges the pairs that share a sub by disjoining their
+   primes.  The disjunctions allocate, so their order fixes the node
+   ids: groups run by ascending last occurrence of their sub, and a
+   group's primes are disjoined in production order.  Sorting
+   (sub, index) keys lines each group up in production order; sorting
+   (last index, group) keys orders the groups.
+
+   A canonical manager then trims, sorts the elements by prime and
+   interns the decision in the unique table.  A counting-only (d-DNNF)
+   manager skips the unique lookup and stores the elements by
+   descending last occurrence: compression by sub {e id} is
+   semantics-preserving whatever the ids mean, and without it
+   conjunction chains double their fanout per clause (exponential
+   blowup on E19-style chains).  The primes stay pairwise disjoint and
+   jointly exhaustive, which keeps the result deterministic,
+   decomposable and structured — the invariants [model_count] /
+   [probability*] rely on — at the cost of canonicity: equal
+   {e functions} may still get distinct ids.  Only id-safe trims are
+   applied; the singleton trim is sound because the primes' disjunction
+   is ⊤ by exhaustiveness even when its id is not 1. *)
+and mk_decision_k m stk v lo =
+  let n = (stk.sp - lo) / 2 in
+  (* Regions above the pairs: sort keys [kb], groups [gb], compressed
+     pairs [cb]. *)
+  let kb = scratch_alloc stk (4 * n) in
+  let gb = kb + n and cb = kb + (2 * n) in
+  let buf = stk.buf in
+  let nk = ref 0 in
+  for i = 0 to n - 1 do
+    if buf.(lo + (2 * i)) <> 0 then begin
+      buf.(kb + !nk) <- pair_key buf.(lo + (2 * i) + 1) i;
+      incr nk
     end
+  done;
+  let nk = !nk in
+  sort_range buf kb nk;
+  let ng = ref 0 and j = ref 0 in
+  while !j < nk do
+    let start = !j and s = buf.(kb + !j) lsr 31 in
+    while !j < nk && buf.(kb + !j) lsr 31 = s do
+      incr j
+    done;
+    buf.(gb + !ng) <- pair_key (buf.(kb + !j - 1) land mask31) start;
+    incr ng
+  done;
+  let ng = !ng in
+  sort_range buf gb ng;
+  for g = 0 to ng - 1 do
+    let start = stk.buf.(gb + g) land mask31 in
+    let s = stk.buf.(kb + start) lsr 31 in
+    let p = ref stk.buf.(lo + (2 * (stk.buf.(kb + start) land mask31))) in
+    let j = ref (start + 1) in
+    while !j < nk && stk.buf.(kb + !j) lsr 31 = s do
+      let i = stk.buf.(kb + !j) land mask31 in
+      p := apply_k m stk false !p stk.buf.(lo + (2 * i));
+      incr j
+    done;
+    stk.buf.(cb + (2 * g)) <- !p;
+    stk.buf.(cb + (2 * g) + 1) <- s
+  done;
+  let buf = stk.buf in
+  let r =
+    if ng = 0 then 0
+    else if ng = 1 then begin
+      (* Exhaustive primes with one shared sub: ∨ᵢ(pᵢ ∧ s) ≡ s. *)
+      assert ((not m.canonical) || buf.(cb) = 1);
+      buf.(cb + 1)
+    end
+    else if ng = 2 && buf.(cb + 1) = 1 && buf.(cb + 3) = 0 then buf.(cb)
+    else if ng = 2 && buf.(cb + 1) = 0 && buf.(cb + 3) = 1 then buf.(cb + 2)
     else begin
-      (* The shard mutex is held across find + alloc + add so two
-         domains cannot both allocate the same decision (canonicity
-         requires exactly one id per key).  [alloc_dec] nests [alloc_mu]
-         inside the shard lock; the lock order is always
-         shard → alloc and [alloc_mu] takes no further locks, so there
-         is no cycle.  A budget trip inside [alloc_dec] must release
-         the shard. *)
-      let mu = m.unique_mu.(shard) in
-      lock_counted mu m.lk_unique_acq.(shard) m.lk_unique_cont.(shard);
-      let t0 = hold_start () in
-      match
-        (match Dec_tbl.find tbl key with
-        | id ->
-          cache_hit m.cs_unique;
-          id
-        | exception Not_found ->
-          cache_miss m.cs_unique;
-          let id = alloc_dec m v sorted k in
-          Dec_tbl.add tbl key id;
-          id)
-      with
-      | id ->
-        hold_end "sdd.unique_lock_hold_ns" t0;
-        Mutex.unlock mu;
-        id
-      | exception e ->
-        hold_end "sdd.unique_lock_hold_ns" t0;
-        Mutex.unlock mu;
-        raise e
+      if !Obs.enabled_ref then Obs.hist_record "sdd.decision_fanout" ng;
+      if m.canonical then begin
+        sort_pairs_by_prime buf cb ng;
+        unique_intern m v buf cb ng
+      end
+      else begin
+        reverse_pairs buf cb ng;
+        alloc_dec m v buf cb ng
+      end
     end
-  end
+  in
+  stk.sp <- lo;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Apply                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Elements of [a] viewed as a decision at vtree node [v] (an ancestor of
-   a's vtree node, or the node itself). *)
-and elements_at m v a =
+(* Pushes the elements of [a] viewed as a decision at vtree node [v] (an
+   ancestor of a's vtree node, or the node itself). *)
+and push_at m stk v a =
   let st = Atomic.get m.store in
   if Bytes.unsafe_get st.kind a = k_dec && st.vnode.(a) = v then
-    elements_list st a
+    push_elements stk st a
   else begin
     let u = st.vnode.(a) in
-    if Vtree.in_left_subtree m.vt v u then [ (a, 1); (negate m a, 0) ]
+    if Vtree.in_left_subtree m.vt v u then begin
+      push2 stk a 1;
+      let na = negate_k m stk a in
+      push2 stk na 0
+    end
     else begin
       assert (Vtree.in_right_subtree m.vt v u);
-      [ (1, a) ]
+      push2 stk 1 a
     end
   end
 
-and apply m op_and a b =
-  let cache = if op_and then m.and_cache else m.or_cache in
+and apply_k m stk op_and a b =
   let neutral = if op_and then 1 else 0 in
   let absorbing = if op_and then 0 else 1 in
   if a = absorbing || b = absorbing then absorbing
   else if a = neutral then b
   else if b = neutral then a
   else if a = b then a
-  else if cache_find m m.neg_cache a = b then absorbing
   else begin
-    let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
-    let cstat = if op_and then m.cs_and else m.cs_or in
-    let cached = cache_find m cache key in
-    if cached >= 0 then begin
-      cache_hit cstat;
-      cached
-    end
+    let st = Atomic.get m.store in
+    let va = st.vnode.(a) and vb = st.vnode.(b) in
+    (* A complement pair always shares a vtree node. *)
+    if va = vb && cache_find m m.neg_cache a = b then absorbing
     else begin
-      cache_miss cstat;
-      if !Obs.enabled_ref then Attribution.charge_apply_miss ();
-      let va = Option.get (vtree_node m a) in
-      let vb = Option.get (vtree_node m b) in
-      let r =
-        if va = vb && Vtree.is_leaf m.vt va then begin
-          (* Two distinct literals on the same variable. *)
-          if op_and then 0 else 1
-        end
-        else begin
-          let v = Vtree.lca m.vt va vb in
-          let v =
-            (* If one argument sits at [v] it must be a decision there;
-               if both are below on the same side, lca can be a strict
-               descendant of where we must decide — but lca of two
-               distinct nodes is internal unless equal. *)
-            if Vtree.is_leaf m.vt v then Option.get (Vtree.parent m.vt v) else v
-          in
-          let ea = elements_at m v a in
-          let eb = elements_at m v b in
-          let out = ref [] in
-          List.iter
-            (fun (p1, s1) ->
-              List.iter
-                (fun (p2, s2) ->
-                  let p = conjoin m p1 p2 in
-                  if p <> 0 then begin
-                    let s = apply m op_and s1 s2 in
-                    out := (p, s) :: !out
-                  end)
-                eb)
-            ea;
-          if !Obs.enabled_ref then
-            Obs.hist_record "sdd.apply_elements" (List.length !out);
-          mk_decision m v !out
-        end
-      in
-      cache_put m cache key r;
-      r
+      let cache = if op_and then m.and_cache else m.or_cache in
+      let key = pair_key (Stdlib.min a b) (Stdlib.max a b) in
+      let cstat = if op_and then m.cs_and else m.cs_or in
+      let cached = cache_find m cache key in
+      if cached >= 0 then begin
+        cache_hit cstat;
+        cached
+      end
+      else begin
+        cache_miss cstat;
+        if !Obs.enabled_ref then Attribution.charge_apply_miss ();
+        let r =
+          if va = vb && Vtree.is_leaf m.vt va then begin
+            (* Two distinct literals on the same variable. *)
+            if op_and then 0 else 1
+          end
+          else begin
+            let v = Vtree.lca m.vt va vb in
+            let v =
+              (* If one argument sits at [v] it must be a decision there;
+                 if both are below on the same side, lca can be a strict
+                 descendant of where we must decide — but lca of two
+                 distinct nodes is internal unless equal. *)
+              if Vtree.is_leaf m.vt v then Option.get (Vtree.parent m.vt v)
+              else v
+            in
+            let lo = stk.sp in
+            push_at m stk v a;
+            let na = (stk.sp - lo) / 2 in
+            push_at m stk v b;
+            let nb = ((stk.sp - lo) / 2) - na in
+            let out = stk.sp in
+            for i = 0 to na - 1 do
+              for j = 0 to nb - 1 do
+                let ea = lo + (2 * i) and eb = lo + (2 * (na + j)) in
+                let p = apply_k m stk true stk.buf.(ea) stk.buf.(eb) in
+                if p <> 0 then begin
+                  let s =
+                    apply_k m stk op_and stk.buf.(ea + 1) stk.buf.(eb + 1)
+                  in
+                  push2 stk p s
+                end
+              done
+            done;
+            if !Obs.enabled_ref then
+              Obs.hist_record "sdd.apply_elements" ((stk.sp - out) / 2);
+            let r = mk_decision_k m stk v out in
+            stk.sp <- lo;
+            r
+          end
+        in
+        cache_put m cache key r;
+        r
+      end
     end
   end
 
-and conjoin m a b = apply m true a b
-and disjoin m a b = apply m false a b
+(* Public entry points: on an exception the stack goes back to the
+   depth the call found it at (closure-free, unlike [with_scratch]). *)
+let apply m op_and a b =
+  let stk = scratch () in
+  let base = stk.sp in
+  match apply_k m stk op_and a b with
+  | r -> r
+  | exception e ->
+    stk.sp <- base;
+    raise e
+
+let conjoin m a b = apply m true a b
+let disjoin m a b = apply m false a b
+
+let negate m a =
+  let stk = scratch () in
+  let base = stk.sp in
+  match negate_k m stk a with
+  | r -> r
+  | exception e ->
+    stk.sp <- base;
+    raise e
 
 let conjoin_list m l = List.fold_left (conjoin m) 1 l
 let disjoin_list m l = List.fold_left (disjoin m) 0 l
+
+(* The list-taking constructor: pushes [elems] in production order (the
+   reverse of the list) and compresses on the stack. *)
+let mk_decision m v elems =
+  with_scratch (fun stk ->
+      let lo = stk.sp in
+      List.iter (fun (p, s) -> push2 stk p s) elems;
+      reverse_pairs stk.buf lo ((stk.sp - lo) / 2);
+      mk_decision_k m stk v lo)
 
 (* ------------------------------------------------------------------ *)
 (* Conditioning                                                        *)
@@ -995,6 +1299,7 @@ let condition m a x value =
     a
   | lx ->
     let num_nodes = Vtree.num_nodes m.vt in
+    with_scratch @@ fun stk ->
     let rec go a =
       let st = Atomic.get m.store in
       let k = Bytes.unsafe_get st.kind a in
@@ -1016,12 +1321,16 @@ let condition m a x value =
           else begin
             cache_miss m.cs_cond;
             let in_left = Vtree.is_ancestor m.vt (Vtree.left m.vt v) lx in
-            let elems' =
-              List.map
-                (fun (p, s) -> if in_left then (go p, s) else (p, go s))
-                (elements_list st a)
-            in
-            let r = mk_decision m v elems' in
+            let n = st.aux.(a) in
+            let lo = stk.sp in
+            push_elements stk st a;
+            for i = 0 to n - 1 do
+              let e = lo + (2 * i) + if in_left then 0 else 1 in
+              let x = go stk.buf.(e) in
+              stk.buf.(e) <- x
+            done;
+            reverse_pairs stk.buf lo n;
+            let r = mk_decision_k m stk v lo in
             cache_put m m.cond_cache key r;
             r
           end
@@ -1033,27 +1342,19 @@ let condition m a x value =
 (* Generational compaction                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Unique-table key of decision [id], straight from the arena: the
-   element buffer already holds [p0; s0; p1; s1; ...] prime-sorted, so
-   the key is one blit. *)
-let dec_key_of_store st id =
-  let k = st.aux.(id) and base = st.off.(id) in
-  let key = Array.make (1 + (2 * k)) st.vnode.(id) in
-  Array.blit st.elems base key 1 (2 * k);
-  key
-
+(* The unique table's keys are the arena cells themselves, so a rebuild
+   re-slots every live decision id. *)
 let rebuild_unique m =
   (* A non-canonical manager never consults the unique table, and its
      element lists are not prime-sorted, so there is no table to rebuild
      after compaction. *)
   if m.canonical then begin
-    Array.iter Dec_tbl.reset m.unique;
+    Array.iter utable_reset m.unique;
     let st = Atomic.get m.store in
     let n = Atomic.get m.count in
     for id = 2 to n - 1 do
       if Bytes.unsafe_get st.kind id = k_dec then
-        Dec_tbl.add m.unique.(dec_shard st.vnode.(id)) (dec_key_of_store st id)
-          id
+        utable_add st m.unique.(dec_shard st.vnode.(id)) id
     done
   end
 
@@ -1071,8 +1372,6 @@ let reset_caches m =
 let seed_neg m =
   cache_put m m.neg_cache 0 1;
   cache_put m m.neg_cache 1 0
-
-let mask31 = (1 lsl 31) - 1
 
 (* Compaction: mark live nodes from [roots], relocate them into
    exact-fit arrays with a monotone remap (ascending old id → ascending
@@ -1093,7 +1392,7 @@ let compact_roots m (roots : int array) : int array =
   let st = Atomic.get m.store in
   let n = Atomic.get m.count in
   let old_node_cap = Bytes.length st.kind in
-  let old_elems_cap = Array.length st.elems in
+  let old_elems_cap = elems_capacity m st in
   (* -- Mark (iterative: E20-scale chains overflow the OCaml stack). -- *)
   let live = Bytes.make n '\000' in
   Bytes.unsafe_set live 0 '\001';
@@ -1129,10 +1428,11 @@ let compact_roots m (roots : int array) : int array =
       Bytes.unsafe_set live id '\001';
       if Bytes.unsafe_get st.kind id = k_dec then begin
         incr n_live;
-        let k = st.aux.(id) and base = st.off.(id) in
+        let k = st.aux.(id) and o = st.off.(id) in
+        let c = chunk_of st o and base = pos_of o in
         live_pairs := !live_pairs + k;
         for i = 0 to (2 * k) - 1 do
-          let x = st.elems.(base + i) in
+          let x = c.(base + i) in
           if x >= 2 && Bytes.unsafe_get live x = '\000' then push x
         done
       end
@@ -1149,7 +1449,7 @@ let compact_roots m (roots : int array) : int array =
       incr next
     end
   done;
-  (* -- Relocate into exact-fit arrays. -- *)
+  (* -- Relocate into exact-fit arrays, the elements into one chunk. -- *)
   let node_cap = Stdlib.max 1024 !next in
   let elems_cap = Stdlib.max 1024 (2 * !live_pairs) in
   let kind = Bytes.make node_cap k_tomb in
@@ -1169,10 +1469,11 @@ let compact_roots m (roots : int array) : int array =
       vnode.(nid) <- st.vnode.(id);
       aux.(nid) <- st.aux.(id);
       if kch = k_dec then begin
-        let k = st.aux.(id) and base = st.off.(id) in
+        let k = st.aux.(id) and o = st.off.(id) in
+        let c = chunk_of st o and base = pos_of o in
         off.(nid) <- !epos;
         for i = 0 to (2 * k) - 1 do
-          elems.(!epos + i) <- remap.(st.elems.(base + i))
+          elems.(!epos + i) <- remap.(c.(base + i))
         done;
         epos := !epos + (2 * k)
       end
@@ -1184,9 +1485,12 @@ let compact_roots m (roots : int array) : int array =
   let saved_or = saved_entries m.or_cache in
   let saved_neg = saved_entries m.neg_cache in
   let saved_cond = saved_entries m.cond_cache in
-  Atomic.set m.store { kind; vnode; aux; off; elems };
+  let chunks = Array.make 8 [||] in
+  chunks.(0) <- elems;
+  Atomic.set m.store { kind; vnode; aux; off; chunks };
   Atomic.set m.count !next;
-  m.elems_len <- !epos;
+  m.chunk_n <- 1;
+  m.chunk_fill <- !epos;
   (* Literal table: same vtree, new ids. *)
   Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
   for nid = 2 to !next - 1 do
@@ -1333,7 +1637,7 @@ let dynamic_edit m move root =
      inputs (inversion lineage) that rebuild blows up — so it must stay
      pollable, yet a trip mid-rebuild would leave the tables
      half-migrated.  Resolution: snapshot the pre-edit state (arena
-     cells up to [count], element buffer up to [elems_len], lit_tbl,
+     cells up to [count], element chunks up to the fill, lit_tbl,
      and the caches already saved below for forwarding), run the
      rebuild with the budget live, and on [Budget.Exhausted] roll the
      manager back to the snapshot before re-raising.  Callers always
@@ -1376,14 +1680,15 @@ let dynamic_edit m move root =
     map.(w) <- -1;
     shift (Vtree.left old_vt v) 1);
   let old_count = Atomic.get m.count in
-  let old_elems_len = m.elems_len in
+  let old_chunk_n = m.chunk_n and old_chunk_fill = m.chunk_fill in
   let saved_and = saved_entries m.and_cache in
   let saved_or = saved_entries m.or_cache in
   let saved_neg = saved_entries m.neg_cache in
   let saved_cond = saved_entries m.cond_cache in
   (* Rollback snapshot, taken only when the budget can trip: the arena
      prefix (the rebuild rewrites literal leaves and unaffected
-     decisions in place) and lit_tbl.  The caches are already saved
+     decisions in place), the element chunks in use (the current one up
+     to its fill) and lit_tbl.  The caches are already saved
      above, and the unique table is reconstructible from the restored
      cells — tombstoning keeps it in bijection with live decisions. *)
   let snapshot =
@@ -1394,23 +1699,30 @@ let dynamic_edit m move root =
           Array.sub st.vnode 0 old_count,
           Array.sub st.aux 0 old_count,
           Array.sub st.off 0 old_count,
-          Array.sub st.elems 0 old_elems_len,
+          Array.init old_chunk_n (fun i ->
+              if i < old_chunk_n - 1 then Array.copy st.chunks.(i)
+              else Array.sub st.chunks.(i) 0 old_chunk_fill),
           Array.copy m.lit_tbl,
           m.dead_nodes,
           m.dead_elems )
     end
     else None
   in
-  let rollback (s_kind, s_vnode, s_aux, s_off, s_elems, s_lit, s_dn, s_de) =
+  let rollback (s_kind, s_vnode, s_aux, s_off, s_chunks, s_lit, s_dn, s_de) =
     m.vt <- old_vt;
     let st = Atomic.get m.store in
     Bytes.blit s_kind 0 st.kind 0 old_count;
     Array.blit s_vnode 0 st.vnode 0 old_count;
     Array.blit s_aux 0 st.aux 0 old_count;
     Array.blit s_off 0 st.off 0 old_count;
-    Array.blit s_elems 0 st.elems 0 old_elems_len;
+    Array.iteri
+      (fun i c -> Array.blit c 0 st.chunks.(i) 0 (Array.length c))
+      s_chunks;
+    (* Chunks opened by the edit are dropped. *)
+    Array.fill st.chunks old_chunk_n (m.chunk_n - old_chunk_n) [||];
     Atomic.set m.count old_count;
-    m.elems_len <- old_elems_len;
+    m.chunk_n <- old_chunk_n;
+    m.chunk_fill <- old_chunk_fill;
     m.dead_nodes <- s_dn;
     m.dead_elems <- s_de;
     Array.blit s_lit 0 m.lit_tbl 0 (Array.length s_lit);
@@ -1427,7 +1739,7 @@ let dynamic_edit m move root =
   in
   on_trip (fun () -> Option.iter rollback snapshot) @@ fun () ->
   reset_caches m;
-  Array.iter Dec_tbl.reset m.unique;
+  Array.iter utable_clear m.unique;
   Array.fill m.lit_tbl 0 (Array.length m.lit_tbl) (-1);
   m.vt <- new_vt;
   seed_neg m;
@@ -1472,34 +1784,31 @@ let dynamic_edit m move root =
               0 pairs
         end
         else begin
+          (* The forwarded, prime-sorted elements go on the scratch
+             stack as the unique-table candidate. *)
           let u' = map.(u) in
           let k = List.length pairs in
-          let elems' =
-            List.sort
-              (fun (p1, _) (p2, _) -> Int.compare p1 p2)
-              (List.map (fun (p, s) -> (fwd.(p), fwd.(s))) pairs)
-          in
-          let key = Array.make (1 + (2 * k)) u' in
+          let stk = scratch () in
+          let base = scratch_alloc stk (2 * k) in
           List.iteri
             (fun i (p, s) ->
-              key.((2 * i) + 1) <- p;
-              key.((2 * i) + 2) <- s)
-            elems';
-          let shard = dec_shard u' in
-          match Dec_tbl.find m.unique.(shard) key with
-          | n -> fwd.(id) <- n
-          | exception Not_found ->
-            (* Claim in place: rewrite the cells (the rebuilds above may
-               have grown the store, so refetch the snapshot). *)
-            let st = Atomic.get m.store in
+              stk.buf.(base + (2 * i)) <- fwd.(p);
+              stk.buf.(base + (2 * i) + 1) <- fwd.(s))
+            pairs;
+          sort_pairs_by_prime stk.buf base k;
+          let tbl = m.unique.(dec_shard u') in
+          (* The rebuilds above may have grown the store: refetch it. *)
+          let st = Atomic.get m.store in
+          let r = utable_find st tbl u' stk.buf base k in
+          if r >= 0 then fwd.(id) <- r
+          else begin
+            (* Claim in place: rewrite the cells, then slot the id. *)
             st.vnode.(id) <- u';
-            let base = st.off.(id) in
-            List.iteri
-              (fun i (p, s) ->
-                st.elems.(base + (2 * i)) <- p;
-                st.elems.(base + (2 * i) + 1) <- s)
-              elems';
-            Dec_tbl.add m.unique.(shard) key id
+            let o = st.off.(id) in
+            Array.blit stk.buf base (chunk_of st o) (pos_of o) (2 * k);
+            utable_insert_at st tbl (-1 - r) id
+          end;
+          stk.sp <- base
         end
       end
     end
@@ -1682,6 +1991,7 @@ let decision m v elems =
    [dst] ids and a relocation would dangle its values. *)
 let import ~dst ~map src root =
   let memo = Int_tbl.create 256 in
+  with_scratch @@ fun stk ->
   let rec go a =
     match Int_tbl.find_opt memo a with
     | Some b -> b
@@ -1695,14 +2005,16 @@ let import ~dst ~map src root =
             (Vtree.leaf_of_var dst.vt (Vtree.var_of_leaf src.vt st.vnode.(a)))
             st.aux.(a)
         else begin
-          let elems' =
-            List.map
-              (fun (p, s) ->
-                let p' = go p in
-                (p', go s))
-              (elements_list st a)
-          in
-          mk_decision dst (map st.vnode.(a)) elems'
+          (* Each prime, then its sub, imported in element order. *)
+          let n = st.aux.(a) in
+          let lo = stk.sp in
+          push_elements stk st a;
+          for i = lo to lo + (2 * n) - 1 do
+            let x = go stk.buf.(i) in
+            stk.buf.(i) <- x
+          done;
+          reverse_pairs stk.buf lo n;
+          mk_decision_k dst stk (map st.vnode.(a)) lo
         end
       in
       Int_tbl.add memo a b;
@@ -1942,6 +2254,7 @@ let compile_circuit m c =
   (* Up-front check so a pre-cancelled or already-expired budget trips
      deterministically even on circuits too small to hit a poll. *)
   Budget.check m.budget;
+  with_scratch @@ fun stk ->
   let n = Circuit.size c in
   let res = Array.make n 0 in
   for i = 0 to n - 1 do
@@ -1949,9 +2262,11 @@ let compile_circuit m c =
       (match Circuit.gate c i with
       | Circuit.Var v -> literal m v true
       | Circuit.Const b -> if b then 1 else 0
-      | Circuit.Not j -> negate m res.(j)
-      | Circuit.And js -> conjoin_list m (List.map (fun j -> res.(j)) js)
-      | Circuit.Or js -> disjoin_list m (List.map (fun j -> res.(j)) js));
+      | Circuit.Not j -> negate_k m stk res.(j)
+      | Circuit.And js ->
+        List.fold_left (fun acc j -> apply_k m stk true acc res.(j)) 1 js
+      | Circuit.Or js ->
+        List.fold_left (fun acc j -> apply_k m stk false acc res.(j)) 0 js);
     (* Per-gate compaction checkpoint (opt-in via [compact_every]): the
        live roots are exactly the gate results computed so far. *)
     if compact_due m then begin
@@ -2008,15 +2323,17 @@ module Obdd = struct
     else if Bytes.unsafe_get st.kind a = k_lit then
       if st.aux.(a) = 1 then (1, 0) else (0, 1)
     else begin
-      match elements_list st a with
-      | [ (p1, s1); (_, s2) ] -> if st.aux.(p1) = 1 then (s1, s2) else (s2, s1)
-      | _ -> assert false (* canonical right-linear: exactly 2 elements *)
+      (* Canonical right-linear: exactly 2 elements. *)
+      assert (st.aux.(a) = 2);
+      let o = st.off.(a) in
+      let c = chunk_of st o and i = pos_of o in
+      if st.aux.(c.(i)) = 1 then (c.(i + 1), c.(i + 3)) else (c.(i + 3), c.(i + 1))
     end
 
   (* Canonical node for ITE(x_lvl, hi, lo): trims mirror [mk_decision]
      ([hi = lo] merge, literal shortcuts), and the interned element
      list / unique key match its layout exactly. *)
-  let mk_node m lvl hi lo =
+  let mk_node m stk lvl hi lo =
     if hi = lo then hi
     else begin
       let leaf = (2 * lvl) + 1 in
@@ -2024,62 +2341,32 @@ module Obdd = struct
       else if hi = 0 && lo = 1 then literal_at m leaf 0
       else begin
         let pos = literal_at m leaf 1 and neg = literal_at m leaf 0 in
-        let v = 2 * lvl in
-        let sorted =
-          if pos < neg then [ (pos, hi); (neg, lo) ]
-          else [ (neg, lo); (pos, hi) ]
-        in
-        let key = Array.make 5 v in
-        List.iteri
-          (fun i (p, s) ->
-            key.((2 * i) + 1) <- p;
-            key.((2 * i) + 2) <- s)
-          sorted;
-        let shard = dec_shard v in
-        let tbl = m.unique.(shard) in
-        if not m.parallel then begin
-          match Dec_tbl.find tbl key with
-          | id ->
-            cache_hit m.cs_unique;
-            id
-          | exception Not_found ->
-            cache_miss m.cs_unique;
-            let id = alloc_dec m v sorted 2 in
-            Dec_tbl.add tbl key id;
-            id
+        let base = stk.sp in
+        if pos < neg then begin
+          push2 stk pos hi;
+          push2 stk neg lo
         end
         else begin
-          let mu = m.unique_mu.(shard) in
-          lock_counted mu m.lk_unique_acq.(shard) m.lk_unique_cont.(shard);
-          match
-            (match Dec_tbl.find tbl key with
-            | id ->
-              cache_hit m.cs_unique;
-              id
-            | exception Not_found ->
-              cache_miss m.cs_unique;
-              let id = alloc_dec m v sorted 2 in
-              Dec_tbl.add tbl key id;
-              id)
-          with
-          | id ->
-            Mutex.unlock mu;
-            id
-          | exception e ->
-            Mutex.unlock mu;
-            raise e
-        end
+          push2 stk neg lo;
+          push2 stk pos hi
+        end;
+        let id = unique_intern m (2 * lvl) stk.buf base 2 in
+        stk.sp <- base;
+        id
       end
     end
 
-  let rec apply_rec m op_and a b =
+  let rec apply_rec m stk op_and a b =
     let neutral = if op_and then 1 else 0 in
     let absorbing = if op_and then 0 else 1 in
     if a = absorbing || b = absorbing then absorbing
     else if a = neutral then b
     else if b = neutral then a
     else if a = b then a
-    else if cache_find m m.neg_cache a = b then absorbing
+    else if
+      (Atomic.get m.store).vnode.(a) = (Atomic.get m.store).vnode.(b)
+      && cache_find m m.neg_cache a = b
+    then absorbing
     else begin
       let cache = if op_and then m.and_cache else m.or_cache in
       let cstat = if op_and then m.cs_and else m.cs_or in
@@ -2097,9 +2384,9 @@ module Obdd = struct
         let lvl = Stdlib.min la lb in
         let ah, al = cofactors st a la lvl in
         let bh, bl = cofactors st b lb lvl in
-        let hi = apply_rec m op_and ah bh in
-        let lo = apply_rec m op_and al bl in
-        let r = mk_node m lvl hi lo in
+        let hi = apply_rec m stk op_and ah bh in
+        let lo = apply_rec m stk op_and al bl in
+        let r = mk_node m stk lvl hi lo in
         cache_put m cache key r;
         r
       end
@@ -2107,24 +2394,25 @@ module Obdd = struct
 
   let conjoin m a b =
     check m "Sdd.Obdd.conjoin";
-    apply_rec m true a b
+    with_scratch (fun stk -> apply_rec m stk true a b)
 
   let disjoin m a b =
     check m "Sdd.Obdd.disjoin";
-    apply_rec m false a b
+    with_scratch (fun stk -> apply_rec m stk false a b)
 
   let conjoin_list m l =
     check m "Sdd.Obdd.conjoin_list";
-    List.fold_left (apply_rec m true) 1 l
+    with_scratch (fun stk -> List.fold_left (apply_rec m stk true) 1 l)
 
   let disjoin_list m l =
     check m "Sdd.Obdd.disjoin_list";
-    List.fold_left (apply_rec m false) 0 l
+    with_scratch (fun stk -> List.fold_left (apply_rec m stk false) 0 l)
 
   let compile_circuit m c =
     check m "Sdd.Obdd.compile_circuit";
     Obs.span "sdd.obdd_compile" @@ fun () ->
     Budget.check m.budget;
+    with_scratch @@ fun stk ->
     let n = Circuit.size c in
     let res = Array.make n 0 in
     for i = 0 to n - 1 do
@@ -2132,11 +2420,11 @@ module Obdd = struct
         (match Circuit.gate c i with
         | Circuit.Var v -> literal m v true
         | Circuit.Const b -> if b then 1 else 0
-        | Circuit.Not j -> negate m res.(j)
+        | Circuit.Not j -> negate_k m stk res.(j)
         | Circuit.And js ->
-          List.fold_left (fun acc j -> apply_rec m true acc res.(j)) 1 js
+          List.fold_left (fun acc j -> apply_rec m stk true acc res.(j)) 1 js
         | Circuit.Or js ->
-          List.fold_left (fun acc j -> apply_rec m false acc res.(j)) 0 js);
+          List.fold_left (fun acc j -> apply_rec m stk false acc res.(j)) 0 js);
       (* Same per-gate compaction checkpoint as the generic compile. *)
       if compact_due m then begin
         let roots = compact_roots m (Array.sub res 0 (i + 1)) in

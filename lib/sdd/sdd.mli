@@ -120,6 +120,12 @@ val conjoin_parallel : ?domains:int -> manager -> t list -> t
     conjoins until one root remains ([⊤] for the empty list).  Used by
     the pipeline to conjoin per-component SDDs after import. *)
 
+val scratch_depth : unit -> int
+(** Depth, in words, of the calling domain's scratch stack: the int
+    stack apply and node construction push operands, products and
+    compression keys on.  Every operation pops what it pushed, also
+    when it raises, so outside an operation this is [0]. *)
+
 val stats : manager -> Obs.Cache.snapshot list
 (** Hit/miss/size statistics of the manager's five hash tables, in the
     order [sdd.unique], [sdd.and_cache], [sdd.or_cache], [sdd.neg_cache],
@@ -137,15 +143,21 @@ type census = {
   elements : int;  (** Total prime/sub pairs across decisions. *)
   unique_entries : int;
   unique_buckets : int;
+      (** Id slots of the open-addressing unique table (all shards). *)
   unique_max_bucket : int;
+      (** Longest run of occupied unique-table slots: the most slots any
+          lookup probes. *)
+  apply_max_bucket : int;
+      (** Longest bucket chain in the AND and OR cache shards. *)
   apply_entries : int;  (** AND + OR cache entries. *)
   neg_entries : int;
   cond_entries : int;
   data_capacity : int;  (** Node-store (arena) capacity in slots. *)
   approx_heap_words : int;
       (** Estimated words held by the arena columns, the element
-          buffer, the literal table, unique-table keys and bucket
-          cells. *)
+          chunks and their directory, the literal table and the
+          unique table's id slots.  The unique table keeps no key
+          arrays: its keys are the arena cells. *)
   bytes_per_node : int;  (** [8 * approx_heap_words / allocated]. *)
   garbage_words : int;
       (** Words stranded by tombstones (dead slots and their element

@@ -1,12 +1,15 @@
-(* The arena node store: generational compaction and sharded parallel
-   apply.
+(* The arena node store: generational compaction, sharded parallel
+   apply and the scratch-stack apply kernel.
 
    Invariants under test: compaction preserves the represented function,
    canonicity and the model count while driving tombstones and garbage
    words to zero; dynamic edits followed by compaction and import
    round-trip the function; a budget trip during compaction rolls back
-   before any mutation; and apply_parallel agrees with the sequential
-   apply loop handle-for-handle. *)
+   before any mutation; apply_parallel agrees with the sequential apply
+   loop handle-for-handle; the kernel repeats the allocation and cache
+   counts recorded on the list-based kernel it replaced; and the scratch
+   stack is back at depth 0 after every operation, a budget trip
+   included. *)
 
 open Test_util
 
@@ -161,6 +164,55 @@ let parallel_suite =
         checkb "d1 = sequential" true (List.for_all2 ( = ) seq d1);
         checkb "d4 = sequential" true (List.for_all2 ( = ) seq d4);
         List.iter (fun n -> checkb "valid" true (validate_ok m n)) d4);
+    case "apply_parallel at 2 and 4 domains is handle-identical to conjoin"
+      (fun () ->
+        (* UCQ lineages over one database: every pair is a sizeable
+           apply, and pairs share operands, so the workers run at the
+           same time on the same sub-results.  Each worker domain must
+           push on its own scratch stack. *)
+        let db = Pdb.complete_rst 5 in
+        let cs =
+          List.map
+            (fun q -> Lineage.circuit (Ucq.of_string q) db)
+            [ "R(x),S(x,y)"; "S(x,y),T(y)"; "R(x),T(y)"; "S(x,y)" ]
+        in
+        let vt = Vtree.balanced (Lineage.variables db) in
+        let build () =
+          let m = Sdd.manager vt in
+          (m, Array.of_list (List.map (Sdd.compile_circuit m) cs))
+        in
+        let pairs a =
+          let n = Array.length a in
+          List.concat
+            (List.init n (fun i ->
+                 [ (a.(i), a.((i + 1) mod n)); (a.(i), a.((i + 2) mod n)) ]))
+        in
+        List.iter
+          (fun domains ->
+            let mp, np = build () and ms, ns = build () in
+            let par = Sdd.apply_parallel ~domains mp (pairs np) in
+            let seq = List.map (fun (a, b) -> Sdd.conjoin ms a b) (pairs ns) in
+            List.iter2
+              (fun (a, b) r ->
+                (* De Morgan goes through the OR cache, not the AND
+                   entries the parallel run wrote: canonicity must give
+                   back the same handle. *)
+                let dm =
+                  Sdd.negate mp
+                    (Sdd.disjoin mp (Sdd.negate mp a) (Sdd.negate mp b))
+                in
+                checkb "De Morgan handle" true (Sdd.equal dm r);
+                checkb "conjoin handle" true (Sdd.equal (Sdd.conjoin mp a b) r))
+              (pairs np) par;
+            List.iter2
+              (fun r s ->
+                checkb "same count as sequential" true
+                  (Bigint.equal (Sdd.model_count mp r) (Sdd.model_count ms s));
+                checki "same size as sequential" (Sdd.size ms s)
+                  (Sdd.size mp r))
+              par seq;
+            checki "stack at depth 0" 0 (Sdd.scratch_depth ()))
+          [ 2; 4 ]);
     case "conjoin_parallel equals conjoin_list" (fun () ->
         let fs = random_functions ~vars:6 ~count:5 in
         let vars =
@@ -284,8 +336,112 @@ let parallel_suite =
                | _ -> false)));
   ]
 
+(* The scratch-stack apply kernel: the counts below were recorded on
+   the list-based kernel it replaced.  Node ids follow allocation order,
+   so equal allocation counts and equal unique/and/or hits and lookups
+   over a whole compile pin the kernel's operation order, and with it
+   every handle. *)
+let lineage q n = Lineage.circuit (Ucq.of_string q) (Pdb.complete_rst n)
+
+let kernel_counts m =
+  let find name =
+    List.find (fun s -> s.Obs.Cache.cache = name) (Sdd.stats m)
+  in
+  Sdd.num_nodes_allocated m
+  :: List.concat_map
+       (fun name ->
+         let s = find name in
+         [ s.Obs.Cache.hits; s.Obs.Cache.lookups ])
+       [ "sdd.unique"; "sdd.and_cache"; "sdd.or_cache" ]
+
+let check_counts label want m =
+  Alcotest.(check (list int))
+    (label ^ ": allocated, unique/and/or hits and lookups")
+    want (kernel_counts m)
+
+let golden_compile label ~mk c vt ~counts ~size =
+  let m = mk vt in
+  let root = Sdd.compile_circuit m c in
+  check_counts label counts m;
+  checki (label ^ ": size") size (Sdd.size m root)
+
+let rst n = lineage "R(x),S(x,y),T(y)" n
+let balanced c = Vtree.balanced (Circuit.variables c)
+
+let kernel_suite =
+  [
+    case "golden counts: R(x),S(x,y),T(y) n=4 on a balanced vtree" (fun () ->
+        let c = rst 4 in
+        golden_compile "sdd" ~mk:Sdd.manager c (balanced c)
+          ~counts:[ 1840; 1092; 2883; 9978; 12535; 2773; 4029 ]
+          ~size:1599;
+        golden_compile "dnnf" ~mk:Sdd.dnnf_manager c (balanced c)
+          ~counts:[ 52127; 0; 0; 164229; 195554; 74387; 111881 ]
+          ~size:70042);
+    case "golden counts: R(x),S(x,y) | T(y) n=5 on its Lemma 1 vtree"
+      (fun () ->
+        let c = lineage "R(x),S(x,y) | T(y)" 5 in
+        golden_compile "sdd" ~mk:Sdd.manager c
+          (fst (Lemma1.vtree_of_circuit c))
+          ~counts:[ 1904; 1371; 3204; 4740; 7933; 1176; 2763 ]
+          ~size:142);
+    case "golden counts: band_cnf width 3, n=32 on its Lemma 1 vtree"
+      (fun () ->
+        let c = Generators.band_cnf ~width:3 32 in
+        golden_compile "sdd" ~mk:Sdd.manager c
+          (fst (Lemma1.vtree_of_circuit c))
+          ~counts:[ 16499; 60941; 77374; 293626; 375962; 80923; 115746 ]
+          ~size:421);
+    case "golden counts: in-manager minimization with compaction armed"
+      (fun () ->
+        let c = Generators.band_cnf ~width:3 10 in
+        let m = Sdd.manager ~compact_every:64 (balanced c) in
+        let root = Sdd.compile_circuit m c in
+        let root, size =
+          Vtree_search.minimize_manager_exn ~max_steps:6 m root
+        in
+        check_counts "minimize" [ 47; 615; 1903; 2054; 3914; 589; 1301 ] m;
+        checki "size" 54 size;
+        checki "root size" 54 (Sdd.size m root);
+        checki "compactions" 17 (Sdd.compactions m));
+    case "apply cache shards spread over their buckets" (fun () ->
+        (* The shard and the bucket used to come from the same low hash
+           bits, leaving 15/16 of every shard's buckets empty: on this
+           compile the longest chain was 48. *)
+        let c = rst 5 in
+        let m = Sdd.manager (balanced c) in
+        ignore (Sdd.compile_circuit m c);
+        let cs = Sdd.census m in
+        checkb
+          (Printf.sprintf "longest apply chain %d <= 12" cs.Sdd.apply_max_bucket)
+          true
+          (cs.Sdd.apply_max_bucket <= 12);
+        checkb "census JSON carries it" true
+          (match Sdd.census_to_json cs with
+           | Obs.Json.Obj fields -> List.mem_assoc "apply_max_bucket" fields
+           | _ -> false));
+    case "a node-cap trip inside compile_circuit leaves the manager usable"
+      (fun () ->
+        let c = rst 3 in
+        let vt = balanced c in
+        let fresh = Sdd.manager vt in
+        let want = Sdd.compile_circuit fresh c in
+        let cap = Sdd.num_nodes_allocated fresh / 2 in
+        let m = Sdd.manager ~budget:(Budget.create ~max_nodes:cap ()) vt in
+        (match Sdd.compile_circuit m c with
+         | _ -> Alcotest.fail "expected Budget.Exhausted"
+         | exception Budget.Exhausted _ -> ());
+        checki "stack unwound after the trip" 0 (Sdd.scratch_depth ());
+        Sdd.set_budget m Budget.unlimited;
+        let got = Sdd.compile_circuit m c in
+        checkb "same handle as a fresh manager" true (Sdd.equal want got);
+        checkb "valid" true (validate_ok m got);
+        checki "stack at depth 0" 0 (Sdd.scratch_depth ()));
+  ]
+
 let suites =
   [
     ("arena compaction", compaction_suite);
     ("parallel apply", parallel_suite);
+    ("apply kernel", kernel_suite);
   ]
